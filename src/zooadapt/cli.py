@@ -8,23 +8,21 @@ seeded, so reruns with identical inputs produce byte-identical outputs.
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .diversity import KernelConfig
-from .ensemble_adapt import (AdaptConfig, ADAPTED_SUFFIX, adapt,
-                             build_ensemble, ensemble_forward,
-                             mix_outputs, write_adapted_heads)
+from .ensemble_adapt import (AdaptConfig, EnsembleModel, adapt,
+                             ensemble_forward, mix_outputs,
+                             read_adapted_heads, write_adapted_heads)
 from .errors import ZooAdaptError
-from .inference import forward
 from .selection import SelectionResult, select
 from .sute import SuteConfig, score_zoo
 from .synthzoo import (ArchSpec, ScenarioSpec, TrainConfig, accuracy,
                        build_zoo, generate_scenario, read_labels, spearman)
-from .tensorio import load_zoo, read_tensor
+from .tensorio import load_zoo
 
 
 def main(argv=None) -> int:
@@ -87,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-recycle", type=float, default=0.95)
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--learnable-weights", action="store_true",
                    help="train the member weights too (ablation mode)")
     # Adaptation is label-free by contract; passing a labels file is an error.
@@ -147,21 +144,10 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _kernel_config(token: str) -> KernelConfig:
-    token = token.strip()
-    if token == "linear":
-        return KernelConfig(kind="linear")
-    if token == "rbf":
-        return KernelConfig(kind="rbf")
-    if token.startswith("rbf:"):
-        return KernelConfig(kind="rbf", bandwidth=float(token[4:]))
-    raise ZooAdaptError(f"cannot parse kernel {token!r}")
-
-
 def cmd_select(args) -> int:
     records, target = load_zoo(args.manifest)
     cfg = _sute_config(args, target.num_classes)
-    result = select(records, cfg, q=args.q, kc=_kernel_config(args.kernel),
+    result = select(records, cfg, q=args.q, kc=KernelConfig.parse(args.kernel),
                     flip_diversity=args.flip_diversity)
     result.write_json(args.out)
     print(f"inliers={len(result.inliers)} outliers={len(result.outliers)} "
@@ -175,38 +161,26 @@ def cmd_adapt(args) -> int:
             "adapt is label-free; refusing to accept a labels file")
     records, _ = load_zoo(args.manifest)
     sel = SelectionResult.from_json(Path(args.selection).read_text())
-    by_id = {m.model_id: m for m in records}
-    members = [by_id[i] for i in sel.inliers]
-    outliers = [by_id[i] for i in sel.outliers]
+    ensemble, outliers = sel.inlier_ensemble(records)
     cfg = AdaptConfig(gamma1=args.gamma1, gamma2=args.gamma2,
                       tau_recycle=args.tau_recycle, epochs=args.epochs,
-                      lr=args.lr, seed=args.seed)
-    ensemble = build_ensemble(members, [sel.sutes[i] for i in sel.inliers],
-                              cfg.softmax_temperature_for_weights)
+                      lr=args.lr)
     adapted, history = adapt(ensemble, outliers, cfg,
                              learnable_weights=args.learnable_weights)
     history.write_csv(args.out)
-
-    base = Path(args.manifest).parent
-    manifest_doc = _manifest_entries(args.manifest)
-    wpaths = {e["id"]: base / e["weights"] for e in manifest_doc}
-    bpaths = {e["id"]: base / e["bias"] for e in manifest_doc}
-    write_adapted_heads(adapted, wpaths, bpaths)
-    print(f"adapted {len(members)} heads, history -> {args.out}")
+    write_adapted_heads(adapted)
+    print(f"adapted {len(ensemble.members)} heads, history -> {args.out}")
     return 0
-
-
-def _manifest_entries(manifest_path) -> list[dict]:
-    return json.loads(Path(manifest_path).read_text())["models"]
 
 
 def cmd_eval(args) -> int:
     records, target = load_zoo(args.manifest)
     labels = read_labels(args.labels) if args.labels else None
 
-    sel = None
+    selected = None
     if args.selection:
         sel = SelectionResult.from_json(Path(args.selection).read_text())
+        selected, _ = sel.inlier_ensemble(records)
 
     cfg = SuteConfig.default(target.num_classes)
     report = score_zoo(records, cfg)
@@ -214,8 +188,7 @@ def cmd_eval(args) -> int:
 
     accs = {}
     if labels is not None:
-        for m in records:
-            accs[m.model_id] = accuracy(forward(m), labels)
+        accs = {r.model_id: accuracy(r.probs, labels) for r in report.rows}
 
     header = ["model_id", "domain", "arch", "sute", "ane", "nmi", "rank"]
     if labels is not None:
@@ -239,13 +212,13 @@ def cmd_eval(args) -> int:
                 out.writerow([ranks[r.model_id], repr(accs[r.model_id])])
 
     if labels is not None and args.summary:
-        _write_summary(args, records, report, accs, labels, sel)
+        _write_summary(args, report, accs, labels, selected)
 
     print(f"evaluated {len(records)} models -> {args.out}")
     return 0
 
 
-def _write_summary(args, records, report, accs, labels, sel) -> None:
+def _write_summary(args, report, accs, labels, selected) -> None:
     ids = [r.model_id for r in report.rows]
     acc = np.array([accs[i] for i in ids])
     sute_vals = np.array([
@@ -261,30 +234,18 @@ def _write_summary(args, records, report, accs, labels, sel) -> None:
         rows.append((f"spearman_{name}_p", res.p_value))
     rows.append(("best_single_accuracy", float(acc.max())))
 
-    by_id = {m.model_id: m for m in records}
-    uniform = mix_outputs([forward(m) for m in records],
-                          np.full(len(records), 1.0 / len(records)))
+    uniform = mix_outputs([r.probs for r in report.rows],
+                          np.full(len(ids), 1.0 / len(ids)))
     rows.append(("uniform_ensemble_accuracy", accuracy(uniform, labels)))
 
-    if sel is not None:
-        members = [by_id[i] for i in sel.inliers]
-        ens = build_ensemble(members, [sel.sutes[i] for i in sel.inliers])
+    if selected is not None:
         rows.append(("selected_ensemble_accuracy",
-                     accuracy(ensemble_forward(ens), labels)))
+                     accuracy(ensemble_forward(selected), labels)))
         if args.adapted:
-            base = Path(args.manifest).parent
-            entries = {e["id"]: e for e in _manifest_entries(args.manifest)}
-            adapted_members = []
-            for m in members:
-                e = entries[m.model_id]
-                w = read_tensor(str(base / e["weights"]) + ADAPTED_SUFFIX)
-                b = read_tensor(str(base / e["bias"]) + ADAPTED_SUFFIX)
-                adapted_members.append(m.with_head(w.astype(np.float64),
-                                                   b.astype(np.float64)))
-            ens_a = build_ensemble(adapted_members,
-                                   [sel.sutes[i] for i in sel.inliers])
+            adapted = EnsembleModel(members=read_adapted_heads(selected.members),
+                                    weights=selected.weights)
             rows.append(("adapted_ensemble_accuracy",
-                         accuracy(ensemble_forward(ens_a), labels)))
+                         accuracy(ensemble_forward(adapted), labels)))
 
     with open(args.summary, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")

@@ -28,6 +28,19 @@ class KernelConfig:
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise DiversityError("fixed bandwidth must be > 0")
 
+    @classmethod
+    def parse(cls, token: str) -> "KernelConfig":
+        """Parse CLI tokens: rbf, rbf:<bandwidth>, linear."""
+        kind, sep, bandwidth = token.strip().partition(":")
+        if sep and kind == "rbf":
+            try:
+                return cls(kind="rbf", bandwidth=float(bandwidth))
+            except ValueError:
+                pass
+        elif not sep and kind in ("rbf", "linear"):
+            return cls(kind=kind)
+        raise DiversityError(f"cannot parse kernel {token!r}")
+
 
 def _gram(x: np.ndarray, kc: KernelConfig) -> np.ndarray:
     if kc.kind == "linear":

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ZooAdaptError
 from .inference import forward, mean_entropy
 from .kernels import entropy_rows, softmax_rows
-from .tensorio import ModelRecord, write_tensor
+from .tensorio import ModelRecord, read_tensor, write_tensor
 
 ADAPTED_SUFFIX = ".adapted"
 
@@ -25,17 +25,14 @@ class AdaptError(ZooAdaptError):
     pass
 
 
-def ensemble_weights(sutes, temperature: float = 1.0) -> np.ndarray:
+def ensemble_weights(sutes) -> np.ndarray:
     """Softmax of the member scores; shift-invariant and strictly positive."""
     s = np.asarray(sutes, dtype=np.float64)
     if s.size == 0:
         raise AdaptError("no scores given")
     if not np.isfinite(s).all():
         raise AdaptError("ensemble weights need finite scores")
-    if temperature <= 0:
-        raise AdaptError("temperature must be positive")
-    z = s / temperature
-    e = np.exp(z - z.max())
+    e = np.exp(s - s.max())
     return e / e.sum()
 
 
@@ -55,20 +52,13 @@ class EnsembleModel:
         self.weights = w
 
 
-def build_ensemble(members: list[ModelRecord], sutes,
-                   temperature: float = 1.0) -> EnsembleModel:
-    return EnsembleModel(members=members,
-                         weights=ensemble_weights(sutes, temperature))
-
-
-def member_outputs(e: EnsembleModel) -> list[np.ndarray]:
-    return [forward(m) for m in e.members]
+def build_ensemble(members: list[ModelRecord], sutes) -> EnsembleModel:
+    return EnsembleModel(members=members, weights=ensemble_weights(sutes))
 
 
 def ensemble_forward(e: EnsembleModel) -> np.ndarray:
     """Weighted sum of member probability matrices; rows stay distributions."""
-    probs = member_outputs(e)
-    return mix_outputs(probs, e.weights)
+    return mix_outputs([forward(m) for m in e.members], e.weights)
 
 
 def mix_outputs(probs: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
@@ -86,20 +76,20 @@ class RecyclePair:
     confidence: float
 
 
-def mine_recycle_pairs(outliers: list[ModelRecord],
+def mine_recycle_pairs(model_ids: list[str], probs: list[np.ndarray],
                        tau: float) -> list[RecyclePair]:
     """Per sample, the single most confident outlier prediction, kept
-    only when its confidence exceeds tau. Ties on confidence go to the
-    lowest model_id; ties on the class go to the lowest index."""
-    if not outliers:
+    only when its confidence exceeds tau. probs[j] holds the target
+    probabilities of model_ids[j]. Ties on confidence go to the lowest
+    model_id; ties on the class go to the lowest index."""
+    if not model_ids:
         return []
-    ordered = sorted(outliers, key=lambda m: m.model_id)
-    probs = [forward(m) for m in ordered]
     n = probs[0].shape[0]
     best_conf = np.full(n, -1.0)
     best_label = np.zeros(n, dtype=int)
     best_model = np.zeros(n, dtype=int)
-    for j, p in enumerate(probs):
+    for j in sorted(range(len(model_ids)), key=model_ids.__getitem__):
+        p = probs[j]
         labels = np.argmax(p, axis=1)
         confs = p[np.arange(n), labels]
         better = confs > best_conf  # strict: earlier (lower) id wins ties
@@ -110,7 +100,7 @@ def mine_recycle_pairs(outliers: list[ModelRecord],
     for i in range(n):
         if best_conf[i] > tau:
             pairs.append(RecyclePair(sample_index=i, label=int(best_label[i]),
-                                     model_id=ordered[best_model[i]].model_id,
+                                     model_id=model_ids[best_model[i]],
                                      confidence=float(best_conf[i])))
     return pairs
 
@@ -165,8 +155,6 @@ class AdaptConfig:
     epochs: int = 50
     lr: float = 0.01
     momentum: float = 0.9
-    softmax_temperature_for_weights: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.gamma1 < 0 or self.gamma2 < 0:
@@ -187,10 +175,10 @@ class AdaptConfig:
 #   dL/dW_j = dL/dZ_j^T F_j,   dL/db_j = colsum(dL/dZ_j)
 # ---------------------------------------------------------------------------
 
-def _chain_to_head(d_p: np.ndarray, p: np.ndarray, features: np.ndarray,
-                   scale: float) -> tuple[np.ndarray, np.ndarray]:
+def _chain_to_head(d_p: np.ndarray, p: np.ndarray,
+                   features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = d_p * p
-    g_z = scale * (a - a.sum(axis=1, keepdims=True) * p)
+    g_z = a - a.sum(axis=1, keepdims=True) * p
     return g_z.T @ features, g_z.sum(axis=0)
 
 
@@ -245,7 +233,7 @@ def term_value_and_grads(term: str, features: list[np.ndarray],
         d_ps = [t * d_mix for t in theta]
     else:
         raise AdaptError(f"unknown loss term {term!r}")
-    grads = [_chain_to_head(d_p, p, f, 1.0)
+    grads = [_chain_to_head(d_p, p, f)
              for d_p, p, f in zip(d_ps, probs, features)]
     return value, grads
 
@@ -287,6 +275,8 @@ def adapt(e: EnsembleModel, outliers: list[ModelRecord], cfg: AdaptConfig,
     rho = np.log(theta)  # softmax-reparameterized weight logits
     vel_rho = np.zeros_like(rho)
     history = AdaptHistory()
+    outlier_ids = [m.model_id for m in outliers]
+    outlier_probs = [forward(m) for m in outliers]  # outlier heads stay frozen
 
     for epoch in range(cfg.epochs):
         probs = [softmax_rows(f @ w.T + b)
@@ -295,7 +285,7 @@ def adapt(e: EnsembleModel, outliers: list[ModelRecord], cfg: AdaptConfig,
 
         # refresh constants: pseudo-labels and recycled outlier pairs
         labels = pseudo_labels(mixture)
-        pairs = mine_recycle_pairs(outliers, cfg.tau_recycle)
+        pairs = mine_recycle_pairs(outlier_ids, outlier_probs, cfg.tau_recycle)
         pair_idx = np.array([p.sample_index for p in pairs], dtype=int)
         pair_lab = np.array([p.label for p in pairs], dtype=int)
 
@@ -316,7 +306,7 @@ def adapt(e: EnsembleModel, outliers: list[ModelRecord], cfg: AdaptConfig,
         for j, (f, p) in enumerate(zip(feats, probs)):
             with np.errstate(invalid="ignore"):
                 d_p = theta[j] * d_mix + theta[j] * _d_im(p)
-                g_w, g_b = _chain_to_head(d_p, p, f, 1.0)
+                g_w, g_b = _chain_to_head(d_p, p, f)
             vel_w[j] = cfg.momentum * vel_w[j] + g_w
             vel_b[j] = cfg.momentum * vel_b[j] + g_b
 
@@ -339,14 +329,29 @@ def adapt(e: EnsembleModel, outliers: list[ModelRecord], cfg: AdaptConfig,
     return EnsembleModel(members=adapted, weights=theta), history
 
 
-def write_adapted_heads(e: EnsembleModel, weight_paths: dict[str, str],
-                        bias_paths: dict[str, str]) -> list[str]:
+def write_adapted_heads(e: EnsembleModel) -> list[str]:
     """Write adapted heads beside the originals with the .adapted suffix."""
     written = []
     for m in e.members:
-        wp = str(weight_paths[m.model_id]) + ADAPTED_SUFFIX
-        bp = str(bias_paths[m.model_id]) + ADAPTED_SUFFIX
+        wp, bp = _adapted_paths(m)
         write_tensor(m.weights.astype(np.float32), wp)
         write_tensor(m.bias.astype(np.float32), bp)
         written.extend([wp, bp])
     return written
+
+
+def read_adapted_heads(members: list[ModelRecord]) -> list[ModelRecord]:
+    """The members with the heads that write_adapted_heads left on disk."""
+    adapted = []
+    for m in members:
+        wp, bp = _adapted_paths(m)
+        adapted.append(m.with_head(read_tensor(wp).astype(np.float64),
+                                   read_tensor(bp).astype(np.float64)))
+    return adapted
+
+
+def _adapted_paths(m: ModelRecord) -> tuple[str, str]:
+    if m.weights_path is None or m.bias_path is None:
+        raise AdaptError(f"model {m.model_id!r} has no head files")
+    return (str(m.weights_path) + ADAPTED_SUFFIX,
+            str(m.bias_path) + ADAPTED_SUFFIX)

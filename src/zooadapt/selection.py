@@ -4,13 +4,10 @@ pass over the remainder, and the inlier/outlier partition."""
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .diversity import KernelConfig, div_scores
-from .ensemble_adapt import ensemble_weights
+from .ensemble_adapt import EnsembleModel, build_ensemble, ensemble_weights
 from .errors import ZooAdaptError
-from .inference import forward, predictive_semantics, structural_semantics
-from .sute import SuteComponents, SuteConfig, _components, ensemble_components
+from .sute import ModelScores, SuteConfig, ensemble_components, score_zoo
 from .tensorio import ModelRecord
 
 
@@ -18,31 +15,8 @@ class SelectionError(ZooAdaptError):
     pass
 
 
-@dataclass
-class _Scored:
-    record: ModelRecord
-    probs: np.ndarray
-    structural: np.ndarray
-    components: SuteComponents
-
-
-def _score_all(models: list[ModelRecord], cfg: SuteConfig) -> list[_Scored]:
-    scored = []
-    for m in models:
-        cfg.check_class_count(m.num_classes)
-        p = forward(m)
-        stu = structural_semantics(m.features, p)
-        comp = _components(p, stu, predictive_semantics(p), m.num_classes, cfg)
-        scored.append(_Scored(record=m, probs=p, structural=stu, components=comp))
-    return scored
-
-
-def _ensemble_sute(members: list[_Scored], cfg: SuteConfig,
-                   temperature: float) -> SuteComponents:
-    w = ensemble_weights([m.components.sute for m in members], temperature)
-    return ensemble_components([m.probs for m in members],
-                               [m.structural for m in members],
-                               w, members[0].record.num_classes, cfg)
+SELECTION_KEYS = ("transferable_set", "diversity_set", "inliers", "outliers",
+                  "sutes", "audit")
 
 
 @dataclass
@@ -55,14 +29,7 @@ class SelectionResult:
     sutes: dict[str, float]  # finite individual scores, for ensemble weights
 
     def to_json(self) -> str:
-        doc = {
-            "transferable_set": self.transferable_set,
-            "diversity_set": self.diversity_set,
-            "inliers": self.inliers,
-            "outliers": self.outliers,
-            "sutes": self.sutes,
-            "audit": self.audit,
-        }
+        doc = {k: getattr(self, k) for k in SELECTION_KEYS}
         return json.dumps(doc, indent=2) + "\n"
 
     def write_json(self, path) -> None:
@@ -71,15 +38,35 @@ class SelectionResult:
 
     @classmethod
     def from_json(cls, text: str) -> "SelectionResult":
-        doc = json.loads(text)
-        return cls(transferable_set=doc["transferable_set"],
-                   diversity_set=doc["diversity_set"],
-                   inliers=doc["inliers"], outliers=doc["outliers"],
-                   audit=doc["audit"], sutes=doc["sutes"])
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise SelectionError(f"selection is not valid JSON ({e})")
+        if not isinstance(doc, dict):
+            raise SelectionError("selection must be a JSON object")
+        missing = [k for k in SELECTION_KEYS if k not in doc]
+        if missing:
+            raise SelectionError(f"selection lacks key {missing[0]!r}")
+        return cls(**{k: doc[k] for k in SELECTION_KEYS})
+
+    def inlier_ensemble(self, records: list[ModelRecord]
+                        ) -> tuple[EnsembleModel, list[ModelRecord]]:
+        """The score-weighted ensemble of the inliers and the outlier
+        records, looked up by id in a loaded zoo."""
+        by_id = {m.model_id: m for m in records}
+        for mid in self.inliers + self.outliers:
+            if mid not in by_id:
+                raise SelectionError(f"model {mid!r} is not in the manifest")
+        for mid in self.inliers:
+            if not isinstance(self.sutes.get(mid), (int, float)):
+                raise SelectionError(f"inlier {mid!r} has no numeric score in sutes")
+        ensemble = build_ensemble([by_id[i] for i in self.inliers],
+                                  [self.sutes[i] for i in self.inliers])
+        return ensemble, [by_id[i] for i in self.outliers]
 
 
-def greedy_transferable_set(models: list[ModelRecord], cfg: SuteConfig,
-                            temperature: float = 1.0) -> tuple[list[str], dict]:
+def _greedy(views: list[ModelScores],
+            cfg: SuteConfig) -> tuple[list[ModelScores], dict]:
     """Greedy pass over models sorted by individual score.
 
     Each candidate is accepted only when the scored ensemble strictly
@@ -88,40 +75,33 @@ def greedy_transferable_set(models: list[ModelRecord], cfg: SuteConfig,
     evaluations for r finite-score models (r individual plus r-1
     candidate ensembles).
     """
-    if not models:
-        raise SelectionError("no models given")
-    scored = _score_all(models, cfg)
-    sel, audit = _greedy_from_scored(scored, cfg, temperature)
-    return [s.record.model_id for s in sel], audit
-
-
-def _greedy_from_scored(scored: list[_Scored], cfg: SuteConfig,
-                        temperature: float) -> tuple[list[_Scored], dict]:
-    finite = [s for s in scored if not s.components.rejected]
+    finite = [v for v in views if not v.components.rejected]
     if not finite:
         raise SelectionError("no transferable model: all scores rejected")
-    finite.sort(key=lambda s: (-s.components.sute, s.record.model_id))
+    finite.sort(key=lambda v: (-v.components.sute, v.model_id))
     evaluations = len(finite)  # one individual scoring per finite model
 
     steps = []
-    for s in scored:
-        if s.components.rejected:
-            steps.append({"model_id": s.record.model_id, "action": "skipped_rejected",
+    for v in views:
+        if v.components.rejected:
+            steps.append({"model_id": v.model_id, "action": "skipped_rejected",
                           "candidate_sute": None,
                           "ensemble_sute_before": None, "ensemble_sute_after": None})
 
     members = [finite[0]]
     current = finite[0].components.sute  # single-member ensemble equals the member
-    steps.append({"model_id": finite[0].record.model_id, "action": "seed",
+    steps.append({"model_id": finite[0].model_id, "action": "seed",
                   "candidate_sute": finite[0].components.sute,
                   "ensemble_sute_before": None, "ensemble_sute_after": current})
 
     for cand in finite[1:]:
-        trial = _ensemble_sute(members + [cand], cfg, temperature)
+        trial_members = members + [cand]
+        w = ensemble_weights([m.components.sute for m in trial_members])
+        trial = ensemble_components(trial_members, w, cfg)
         evaluations += 1
         trial_sute = None if trial.rejected else trial.sute
         accepted = trial_sute is not None and trial_sute > current
-        steps.append({"model_id": cand.record.model_id,
+        steps.append({"model_id": cand.model_id,
                       "action": "accepted" if accepted else "rejected",
                       "candidate_sute": cand.components.sute,
                       "ensemble_sute_before": current,
@@ -135,7 +115,7 @@ def _greedy_from_scored(scored: list[_Scored], cfg: SuteConfig,
     return members, audit
 
 
-def diversity_set(candidates: list[ModelRecord], anchors: list[ModelRecord],
+def diversity_set(candidates: list[ModelScores], anchors: list[ModelScores],
                   q: int = 2, kc: KernelConfig = KernelConfig(),
                   flip: bool = False) -> list[str]:
     """The q candidates whose predictions depend least on the anchor set
@@ -144,12 +124,8 @@ def diversity_set(candidates: list[ModelRecord], anchors: list[ModelRecord],
         raise SelectionError("q must be >= 0")
     if q == 0 or not candidates:
         return []
-    scores = div_scores([forward(m) for m in candidates],
-                        [forward(m) for m in anchors], kc)
-    return _rank_by_div(candidates, scores, q, flip)
-
-
-def _rank_by_div(candidates, scores, q, flip):
+    scores = div_scores([c.probs for c in candidates],
+                        [a.probs for a in anchors], kc)
     sign = -1.0 if flip else 1.0
     order = sorted(range(len(candidates)),
                    key=lambda i: (sign * scores[i], candidates[i].model_id))
@@ -157,32 +133,27 @@ def _rank_by_div(candidates, scores, q, flip):
 
 
 def select(models: list[ModelRecord], cfg: SuteConfig, q: int = 2,
-           kc: KernelConfig = KernelConfig(), flip_diversity: bool = False,
-           temperature: float = 1.0) -> SelectionResult:
+           kc: KernelConfig = KernelConfig(),
+           flip_diversity: bool = False) -> SelectionResult:
     """Full selection: greedy transferable set, then diversity set from
     the remaining finite-score models, then the inlier/outlier split."""
-    scored = _score_all(models, cfg)
-    members, audit = _greedy_from_scored(scored, cfg, temperature)
-    tr_ids = [s.record.model_id for s in members]
+    views = score_zoo(models, cfg).rows
+    members, audit = _greedy(views, cfg)
+    tr_ids = [v.model_id for v in members]
     tr_set = set(tr_ids)
 
     # Rejected-score models are excluded from the diversity pool too:
     # dispersity collapse marks them as harmful, and diversity must not
     # reintroduce them.
-    pool = [s for s in scored
-            if s.record.model_id not in tr_set and not s.components.rejected]
-    if q > 0 and pool:
-        scores = div_scores([s.probs for s in pool],
-                            [s.probs for s in members], kc)
-        div_ids = _rank_by_div([s.record for s in pool], scores, q, flip_diversity)
-    else:
-        div_ids = []
+    pool = [v for v in views
+            if v.model_id not in tr_set and not v.components.rejected]
+    div_ids = diversity_set(pool, members, q, kc, flip_diversity)
 
     inliers = tr_ids + div_ids
     inset = set(inliers)
     outliers = sorted(m.model_id for m in models if m.model_id not in inset)
-    sutes = {s.record.model_id: s.components.sute
-             for s in scored if not s.components.rejected}
+    sutes = {v.model_id: v.components.sute
+             for v in views if not v.components.rejected}
     return SelectionResult(transferable_set=tr_ids, diversity_set=div_ids,
                            inliers=inliers, outliers=outliers,
                            audit=audit, sutes=sutes)

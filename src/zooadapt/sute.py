@@ -12,7 +12,7 @@ infinity, so downstream softmax weighting cannot misuse it.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,6 +69,30 @@ class SuteComponents:
         return self.sute is None
 
 
+@dataclass(frozen=True)
+class ModelScores:
+    """One model's target view: its score components and the target-side
+    statistics they come from, built once by sute_score and shared by
+    selection, ensemble scoring and evaluation. The arrays take no part
+    in equality."""
+    model_id: str
+    domain_id: str
+    arch_tag: str
+    components: SuteComponents
+    probs: np.ndarray = field(compare=False, repr=False)  # n x C
+    structural: np.ndarray = field(compare=False, repr=False)  # n labels
+
+    @property
+    def ane(self) -> float:
+        """The ANE baseline, which equals the certainty indicator."""
+        return self.components.ic
+
+    @property
+    def nmi(self) -> float:
+        """The NMI baseline: dispersity plus certainty."""
+        return self.components.gd + self.components.ic
+
+
 def indicator_ic(p: np.ndarray) -> float:
     """Individual certainty: negative mean per-sample prediction entropy."""
     return -mean_entropy(p)
@@ -104,13 +128,16 @@ def combine(ic: float, sc: float, gd: float, cfg: SuteConfig) -> SuteComponents:
     return SuteComponents(ic=ic, sc=sc, gd=gd, phi_gd=float(clipped), sute=score)
 
 
-def sute_score(m: ModelRecord, cfg: SuteConfig) -> SuteComponents:
-    """Score one model: forward pass, both semantics, then the three indicators."""
+def sute_score(m: ModelRecord, cfg: SuteConfig) -> ModelScores:
+    """Score one model and return its target view: forward pass, both
+    semantics, then the three indicators."""
     cfg.check_class_count(m.num_classes)
     p = forward(m)
-    pred = predictive_semantics(p)
     stu = structural_semantics(m.features, p)
-    return _components(p, stu, pred, m.num_classes, cfg)
+    comp = _components(p, stu, predictive_semantics(p), m.num_classes, cfg)
+    return ModelScores(model_id=m.model_id, domain_id=m.domain_id,
+                       arch_tag=m.arch_tag, components=comp,
+                       probs=p, structural=stu)
 
 
 def _components(p, stu, pred, num_classes, cfg) -> SuteComponents:
@@ -118,9 +145,9 @@ def _components(p, stu, pred, num_classes, cfg) -> SuteComponents:
                    indicator_gd(p), cfg)
 
 
-def sute_of_ensemble(members: list[ModelRecord], weights,
-                     cfg: SuteConfig) -> SuteComponents:
-    """Score a weighted ensemble as if it were a single model.
+def ensemble_components(members: list[ModelScores], weights,
+                        cfg: SuteConfig) -> SuteComponents:
+    """Score a weighted ensemble of target views as if it were a single model.
 
     Certainty and dispersity come from the weighted-mixture probability
     matrix; consistency pairs the mixture's predicted classes with a
@@ -128,23 +155,15 @@ def sute_of_ensemble(members: list[ModelRecord], weights,
     """
     if not members:
         raise SuteError("ensemble needs at least one member")
-    probs = [forward(m) for m in members]
-    stus = [structural_semantics(m.features, p) for m, p in zip(members, probs)]
-    return ensemble_components(probs, stus, weights, members[0].num_classes, cfg)
-
-
-def ensemble_components(probs: list[np.ndarray], stus: list[np.ndarray],
-                        weights, num_classes: int,
-                        cfg: SuteConfig) -> SuteComponents:
-    """Same scoring as sute_of_ensemble, on precomputed member outputs."""
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape[0] != len(probs):
+    if w.shape[0] != len(members):
         raise SuteError("one weight per member required")
     if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
         raise SuteError("weights must be nonnegative and sum to 1")
-    mixture = sum(wj * pj for wj, pj in zip(w, probs))
+    num_classes = members[0].probs.shape[1]
+    mixture = sum(wj * m.probs for wj, m in zip(w, members))
     pred = predictive_semantics(mixture)
-    stu = weighted_vote(stus, w, num_classes)
+    stu = weighted_vote([m.structural for m in members], w, num_classes)
     return _components(mixture, stu, pred, num_classes, cfg)
 
 
@@ -168,16 +187,6 @@ def baseline_nmi(p: np.ndarray) -> float:
     entropy of the mean prediction minus mean prediction entropy
     (higher reads as more transferable)."""
     return indicator_gd(p) + indicator_ic(p)
-
-
-@dataclass(frozen=True)
-class ModelScores:
-    model_id: str
-    domain_id: str
-    arch_tag: str
-    components: SuteComponents
-    ane: float
-    nmi: float
 
 
 @dataclass
@@ -213,14 +222,4 @@ class TransferabilityReport:
 
 
 def score_zoo(records: list[ModelRecord], cfg: SuteConfig) -> TransferabilityReport:
-    rows = []
-    for m in records:
-        cfg.check_class_count(m.num_classes)
-        p = forward(m)
-        pred = predictive_semantics(p)
-        stu = structural_semantics(m.features, p)
-        comp = _components(p, stu, pred, m.num_classes, cfg)
-        rows.append(ModelScores(
-            model_id=m.model_id, domain_id=m.domain_id, arch_tag=m.arch_tag,
-            components=comp, ane=baseline_ane(p), nmi=baseline_nmi(p)))
-    return TransferabilityReport(rows=rows)
+    return TransferabilityReport(rows=[sute_score(m, cfg) for m in records])

@@ -69,17 +69,22 @@ class ScenarioSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
-        doc = json.loads(text)
-        return cls(
-            num_classes=doc["C"], d0=doc["d0"], num_domains=doc["K"],
-            domain_transforms=[DomainTransform(**t) for t in doc["domains"]],
-            samples_per_domain=doc["samples_per_domain"],
-            target_transform=DomainTransform(**doc["target"]),
-            target_samples=doc["target_samples"],
-            seed=doc["seed"],
-            class_scale=doc.get("class_scale", 3.0),
-            class_sigma=doc.get("class_sigma", 1.0),
-        )
+        try:
+            doc = json.loads(text)
+            return cls(
+                num_classes=doc["C"], d0=doc["d0"], num_domains=doc["K"],
+                domain_transforms=[DomainTransform(**t) for t in doc["domains"]],
+                samples_per_domain=doc["samples_per_domain"],
+                target_transform=DomainTransform(**doc["target"]),
+                target_samples=doc["target_samples"],
+                seed=doc["seed"],
+                class_scale=doc.get("class_scale", 3.0),
+                class_sigma=doc.get("class_sigma", 1.0),
+            )
+        except json.JSONDecodeError as e:
+            raise SynthError(f"scenario is not valid JSON ({e})")
+        except (KeyError, TypeError) as e:
+            raise SynthError(f"malformed scenario ({type(e).__name__}: {e})")
 
 
 @dataclass
@@ -169,15 +174,18 @@ class ArchSpec:
         """Parse CLI tokens: identity, proj-<dim>, rff-<dim>-<bw>, poly2."""
         parts = token.strip().split("-")
         kind = parts[0]
-        if kind == "identity" and len(parts) == 1:
-            return cls(kind="identity", seed=seed)
-        if kind == "poly2" and len(parts) == 1:
-            return cls(kind="poly2", seed=seed)
-        if kind == "proj" and len(parts) == 2:
-            return cls(kind="proj", dim=int(parts[1]), seed=seed)
-        if kind == "rff" and len(parts) == 3:
-            return cls(kind="rff", dim=int(parts[1]),
-                       bandwidth=float(parts[2]), seed=seed)
+        try:
+            if kind == "identity" and len(parts) == 1:
+                return cls(kind="identity", seed=seed)
+            if kind == "poly2" and len(parts) == 1:
+                return cls(kind="poly2", seed=seed)
+            if kind == "proj" and len(parts) == 2:
+                return cls(kind="proj", dim=int(parts[1]), seed=seed)
+            if kind == "rff" and len(parts) == 3:
+                return cls(kind="rff", dim=int(parts[1]),
+                           bandwidth=float(parts[2]), seed=seed)
+        except ValueError:
+            pass
         raise SynthError(f"cannot parse arch token {token!r}")
 
 
@@ -253,7 +261,10 @@ class TrainConfig:
             key = key.strip()
             if key not in ("lr", "epochs", "momentum", "l2"):
                 raise SynthError(f"unknown grid key {key!r}")
-            kwargs[key] = int(value) if key == "epochs" else float(value)
+            try:
+                kwargs[key] = int(value) if key == "epochs" else float(value)
+            except ValueError:
+                raise SynthError(f"grid key {key!r}: cannot parse {value!r}")
         return cls(**kwargs)
 
 
@@ -347,7 +358,11 @@ def build_zoo(scenario: ScenarioData, archs: list[ArchSpec],
 
 
 def read_labels(path) -> np.ndarray:
-    return np.array([int(line) for line in Path(path).read_text().split()])
+    tokens = Path(path).read_text().split()
+    try:
+        return np.array([int(tok) for tok in tokens])
+    except ValueError as e:
+        raise SynthError(f"{path}: labels must be integers ({e})")
 
 
 # ---------------------------------------------------------------------------

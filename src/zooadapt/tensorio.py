@@ -44,6 +44,9 @@ class ManifestError(ZooAdaptError):
     pass
 
 
+ENTRY_KEYS = ("id", "domain", "arch", "features", "weights", "bias")
+
+
 def write_tensor(t: np.ndarray, path) -> None:
     """Write a float32 tensor; read_tensor(path) restores it bit-exactly."""
     arr = np.asarray(t, dtype=np.float32)
@@ -96,7 +99,8 @@ class ModelRecord:
 
     features is n x d_m, weights C x d_m, bias length C; d_m may differ
     across records, n and C may not. Arrays are float64 in memory and
-    treated as immutable after load.
+    treated as immutable after load. weights_path and bias_path name the
+    head's files when the record was loaded from a manifest.
     """
 
     model_id: str
@@ -106,6 +110,8 @@ class ModelRecord:
     weights: np.ndarray
     bias: np.ndarray
     meta: dict = field(default_factory=dict)
+    weights_path: Path | None = None
+    bias_path: Path | None = None
 
     @property
     def n(self) -> int:
@@ -153,13 +159,22 @@ def load_zoo(manifest_path) -> tuple[list[ModelRecord], TargetBundle]:
     tgt = doc.get("target")
     if not isinstance(tgt, dict) or "n" not in tgt or "C" not in tgt:
         raise ManifestError(f"{manifest_path}: target descriptor missing n/C")
-    target = TargetBundle(n=int(tgt["n"]), num_classes=int(tgt["C"]),
-                          labels_path=tgt.get("labels"))
+    try:
+        target = TargetBundle(n=int(tgt["n"]), num_classes=int(tgt["C"]),
+                              labels_path=tgt.get("labels"))
+    except (TypeError, ValueError):
+        raise ManifestError(f"{manifest_path}: target n and C must be integers")
 
     base = manifest_path.parent
     records: list[ModelRecord] = []
     seen: set[str] = set()
-    for entry in doc.get("models", []):
+    for index, entry in enumerate(doc.get("models", [])):
+        if not isinstance(entry, dict):
+            raise ManifestError(f"model #{index}: entry is not an object")
+        name = repr(entry["id"]) if "id" in entry else f"#{index}"
+        for key in ENTRY_KEYS:
+            if key not in entry:
+                raise ManifestError(f"model {name}: missing key {key!r}")
         mid = entry["id"]
         if mid in seen:
             raise ManifestError(f"duplicate model_id {mid!r}")
@@ -195,5 +210,7 @@ def load_zoo(manifest_path) -> tuple[list[ModelRecord], TargetBundle]:
             weights=w,
             bias=b,
             meta=dict(entry.get("meta", {})),
+            weights_path=base / entry["weights"],
+            bias_path=base / entry["bias"],
         ))
     return records, target

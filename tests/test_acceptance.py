@@ -18,7 +18,7 @@ from zooadapt.ensemble_adapt import (RecyclePair, mix_outputs, pseudo_labels,
                                      term_value_and_grads)
 from zooadapt.inference import forward
 from zooadapt.kernels import softmax_rows
-from zooadapt.selection import greedy_transferable_set, select
+from zooadapt.selection import select
 from zooadapt.sute import SuteConfig, score_zoo, sute_score
 from zooadapt.synthzoo import (accuracy, build_zoo, generate_scenario,
                                poisoned_scenario, read_labels,
@@ -237,12 +237,12 @@ def test_criterion_6_greedy_guarantee(capfd):
                              spread=float(rng.uniform(0.5, 4.0)))
                   for j in range(int(rng.integers(2, 8)))]
         cfg = SuteConfig.default(num_classes)
-        singles = [sute_score(m, cfg).sute for m in models]
+        singles = [sute_score(m, cfg).components.sute for m in models]
         finite = [s for s in singles if s is not None]
         if not finite:
             continue
         zoos += 1
-        _, audit = greedy_transferable_set(models, cfg)
+        audit = select(models, cfg, q=0).audit
         if audit["final_ensemble_sute"] < max(finite) - 1e-12:
             violations += 1
         if audit["sute_evaluations"] != 2 * len(finite) - 1:

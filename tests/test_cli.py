@@ -172,3 +172,105 @@ def test_threads_env_var_accepted():
         capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout.strip() == "ok"
+
+
+def _single_error_line(capsys, rc) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+@pytest.mark.parametrize("key", ["id", "domain", "arch", "features",
+                                 "weights", "bias"])
+def test_manifest_entry_missing_key(zoo, tmp_path, capsys, key):
+    doc = json.loads(zoo.read_text())
+    for entry in doc["models"]:
+        for k in ("features", "weights", "bias"):
+            entry[k] = str(zoo.parent / entry[k])
+    name = doc["models"][1]["id"]
+    del doc["models"][1][key]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    rc = main(["estimate", str(manifest), "-o", str(tmp_path / "est.csv")])
+    line = _single_error_line(capsys, rc)
+    assert "ManifestError" in line and f"missing key {key!r}" in line
+    assert ("#1" if key == "id" else repr(name)) in line
+
+
+def test_manifest_target_size_not_an_integer(zoo, tmp_path, capsys):
+    doc = json.loads(zoo.read_text())
+    doc["target"]["n"] = "ninety"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    rc = main(["estimate", str(manifest), "-o", str(tmp_path / "est.csv")])
+    assert "ManifestError" in _single_error_line(capsys, rc)
+
+
+def _bad_selection(doc: dict, case: str) -> str:
+    if case == "not_json":
+        return "{"
+    if case == "missing_key":
+        del doc["inliers"]
+    elif case == "inlier_not_in_manifest":
+        doc["inliers"].append("nope")
+        doc["sutes"]["nope"] = 0.0
+    elif case == "outlier_not_in_manifest":
+        doc["outliers"].append("nope")
+    elif case == "inlier_not_in_sutes":
+        del doc["sutes"][doc["inliers"][0]]
+    elif case == "inlier_score_not_a_number":
+        doc["sutes"][doc["inliers"][0]] = "high"
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command", ["adapt", "eval"])
+@pytest.mark.parametrize("case", ["not_json", "missing_key",
+                                  "inlier_not_in_manifest",
+                                  "outlier_not_in_manifest",
+                                  "inlier_not_in_sutes",
+                                  "inlier_score_not_a_number"])
+def test_bad_selection_json(zoo, tmp_path, capsys, command, case):
+    good = tmp_path / "sel.json"
+    assert main(["select", str(zoo), "-o", str(good), "--q", "1"]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(_bad_selection(json.loads(good.read_text()), case))
+    capsys.readouterr()
+    out = str(tmp_path / "out.csv")
+    if command == "adapt":
+        argv = ["adapt", str(zoo), str(bad), "-o", out, "--epochs", "1"]
+    else:
+        argv = ["eval", str(zoo), str(zoo.parent / "target_labels.txt"),
+                str(bad), "-o", out]
+    line = _single_error_line(capsys, main(argv))
+    assert "SelectionError" in line
+
+
+def test_select_negative_q(zoo, tmp_path, capsys):
+    rc = main(["select", str(zoo), "-o", str(tmp_path / "sel.json"),
+               "--q", "-1"])
+    assert "SelectionError: q must be >= 0" in _single_error_line(capsys, rc)
+
+
+@pytest.mark.parametrize("case,error", [
+    ("kernel", "DiversityError"), ("archs", "SynthError"),
+    ("grid", "SynthError"), ("labels", "SynthError"),
+    ("scenario", "SynthError")])
+def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
+    scen = tmp_path / "scen.json"
+    scen.write_text(mini_scenario(seed=22).to_json())
+    not_json = tmp_path / "scen.txt"
+    not_json.write_text("C = 3\n")
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n1\nx\n")
+    build = ["build", str(scen), str(tmp_path / "zoo")]
+    argv = {
+        "kernel": ["select", str(zoo), "-o", str(tmp_path / "sel.json"),
+                   "--kernel", "rbf:abc"],
+        "archs": build + ["--archs", "proj-x"],
+        "grid": build + ["--grid", "lr=0.5,epochs=x"],
+        "labels": ["eval", str(zoo), str(labels), "-o",
+                   str(tmp_path / "eval.csv")],
+        "scenario": ["build", str(not_json), str(tmp_path / "zoo")],
+    }[case]
+    assert error in _single_error_line(capsys, main(argv))

@@ -23,7 +23,7 @@ def test_equal_scores_give_uniform_weights():
 
 
 def test_weights_closed_form():
-    w = ensemble_weights([0.0, math.log(3)], temperature=1.0)
+    w = ensemble_weights([0.0, math.log(3)])
     np.testing.assert_allclose(w, [0.25, 0.75], atol=1e-12)
 
 
@@ -95,12 +95,12 @@ def _confidence_model(model_id, peaked_rows, num_classes=3, n=4):
 
 def test_no_pairs_when_confidence_below_tau():
     m = _confidence_model("o1", [(0, 1, 1.0)])  # soft predictions only
-    assert mine_recycle_pairs([m], tau=0.95) == []
+    assert mine_recycle_pairs(["o1"], [forward(m)], tau=0.95) == []
 
 
 def test_single_confident_pair():
     m = _confidence_model("o1", [(2, 1, 30.0)])
-    pairs = mine_recycle_pairs([m], tau=0.95)
+    pairs = mine_recycle_pairs(["o1"], [forward(m)], tau=0.95)
     assert len(pairs) == 1
     p = pairs[0]
     assert (p.sample_index, p.label, p.model_id) == (2, 1, "o1")
@@ -127,7 +127,7 @@ def oracle_pairs(outliers, tau):
 def test_recycling_matches_bruteforce_oracle():
     a = _confidence_model("oa", [(0, 2, 40.0), (1, 0, 2.0)])
     b = _confidence_model("ob", [(1, 1, 35.0), (0, 2, 20.0)])
-    pairs = mine_recycle_pairs([a, b], tau=0.9)
+    pairs = mine_recycle_pairs(["oa", "ob"], [forward(a), forward(b)], tau=0.9)
     assert [(p.sample_index, p.label, p.model_id) for p in pairs] == \
         oracle_pairs([a, b], 0.9)
 
@@ -135,12 +135,12 @@ def test_recycling_matches_bruteforce_oracle():
 def test_recycling_tie_goes_to_lowest_model_id():
     a = _confidence_model("zz", [(0, 1, 25.0)])
     b = make_model("aa", features=a.features, weights=a.weights, bias=a.bias)
-    pairs = mine_recycle_pairs([a, b], tau=0.9)
+    pairs = mine_recycle_pairs(["zz", "aa"], [forward(a), forward(b)], tau=0.9)
     assert pairs[0].model_id == "aa"
 
 
 def test_empty_outliers_empty_pairs():
-    assert mine_recycle_pairs([], tau=0.5) == []
+    assert mine_recycle_pairs([], [], tau=0.5) == []
 
 
 # --- losses ---------------------------------------------------------------------
@@ -269,7 +269,7 @@ def test_fused_adapt_gradient_equals_term_sum():
     probs = [softmax_rows(f @ w.T + b) for f, w, b in zip(feats, ws, bs)]
     mixture = mix_outputs(probs, e.weights)
     labels = pseudo_labels(mixture)
-    pairs = mine_recycle_pairs([outlier], cfg.tau_recycle)
+    pairs = mine_recycle_pairs(["o"], [forward(outlier)], cfg.tau_recycle)
     _, g_sim = term_value_and_grads("sim", feats, ws, bs, e.weights)
     _, g_pse = term_value_and_grads("pse", feats, ws, bs, e.weights,
                                     labels=labels)
@@ -315,7 +315,7 @@ def test_adapt_matches_fd_descent_oracle():
     e = build_ensemble([a, b], [0.3, 0.1])
     outlier = _confidence_model("o", [(2, 1, 30.0)], n=8)
     cfg = AdaptConfig(epochs=3, lr=0.05, momentum=0.9, gamma1=0.3,
-                      gamma2=0.3, seed=0)
+                      gamma2=0.3)
     _, lib_history = adapt(e, [outlier], cfg)
 
     feats = [m.features for m in e.members]
@@ -329,7 +329,7 @@ def test_adapt_matches_fd_descent_oracle():
         probs = [softmax_rows(f @ w.T + b) for f, w, b in zip(feats, ws, bs)]
         mixture = mix_outputs(probs, theta)
         labels = pseudo_labels(mixture)
-        pairs = mine_recycle_pairs([outlier], cfg.tau_recycle)
+        pairs = mine_recycle_pairs(["o"], [forward(outlier)], cfg.tau_recycle)
         p_idx = np.array([p.sample_index for p in pairs], dtype=int)
         p_lab = np.array([p.label for p in pairs], dtype=int)
 

@@ -9,8 +9,8 @@ from zooadapt.diversity import KernelConfig, div_scores
 from zooadapt.inference import (forward, predictive_semantics,
                                 structural_semantics)
 from zooadapt.selection import (SelectionError, SelectionResult,
-                                diversity_set, greedy_transferable_set, select)
-from zooadapt.sute import SuteConfig, sute_score
+                                diversity_set, select)
+from zooadapt.sute import SuteConfig, score_zoo, sute_score
 from zooadapt.synthzoo import (ArchSpec, TrainConfig, build_zoo,
                                generate_scenario)
 from zooadapt.tensorio import load_zoo
@@ -53,6 +53,10 @@ def oracle_ensemble_sute(models, weights, cfg):
     return cfg.lambda1 * ic + cfg.lambda2 * sc + min(gd, cfg.tau_h)
 
 
+def views(models):
+    return score_zoo(models, SuteConfig.default(3)).rows
+
+
 def softmax(v):
     e = np.exp(np.asarray(v) - max(v))
     return e / e.sum()
@@ -63,7 +67,8 @@ def softmax(v):
 def test_single_model_zoo():
     m = make_model("only", seed=1)
     cfg = SuteConfig.default(3)
-    ids, audit = greedy_transferable_set([m], cfg)
+    result = select([m], cfg, q=0)
+    ids, audit = result.transferable_set, result.audit
     assert ids == ["only"]
     assert audit["sute_evaluations"] == 1  # 2r-1 with r=1
 
@@ -72,7 +77,8 @@ def test_duplicate_of_top_model_rejected_by_strictness():
     m = make_model("a", seed=2)
     dup = make_model("b", features=m.features, weights=m.weights, bias=m.bias)
     cfg = SuteConfig.default(3)
-    ids, audit = greedy_transferable_set([m, dup], cfg)
+    result = select([m, dup], cfg, q=0)
+    ids, audit = result.transferable_set, result.audit
     assert len(ids) == 1
     actions = {s["model_id"]: s["action"] for s in audit["steps"]}
     assert actions[ids[0]] == "seed"
@@ -85,7 +91,7 @@ def test_duplicate_of_top_model_rejected_by_strictness():
 def test_three_model_greedy_matches_exhaustive_oracle():
     models = [make_model(f"m{i}", seed=60 + i, n=18) for i in range(3)]
     cfg = SuteConfig.default(3)
-    singles = {m.model_id: sute_score(m, cfg).sute for m in models}
+    singles = {m.model_id: sute_score(m, cfg).components.sute for m in models}
     assert all(v is not None for v in singles.values())
 
     # oracle: table of every non-empty subset's ensemble score
@@ -106,7 +112,8 @@ def test_three_model_greedy_matches_exhaustive_oracle():
             expected.append(cand.model_id)
             current = trial
 
-    ids, audit = greedy_transferable_set(models, cfg)
+    result = select(models, cfg, q=0)
+    ids, audit = result.transferable_set, result.audit
     assert ids == expected
     assert audit["sute_evaluations"] == 2 * 3 - 1
     assert audit["final_ensemble_sute"] == pytest.approx(current, abs=1e-9)
@@ -116,14 +123,15 @@ def test_all_rejected_raises():
     models = [collapsed_model(f"c{i}", seed=70 + i) for i in range(2)]
     cfg = SuteConfig.default(3)
     with pytest.raises(SelectionError, match="no transferable model"):
-        greedy_transferable_set(models, cfg)
+        select(models, cfg, q=0)
 
 
 def test_sentinel_models_are_skipped_not_counted():
     good = [make_model(f"g{i}", seed=80 + i) for i in range(2)]
     bad = collapsed_model("zbad", seed=85)
     cfg = SuteConfig.default(3)
-    ids, audit = greedy_transferable_set(good + [bad], cfg)
+    result = select(good + [bad], cfg, q=0)
+    ids, audit = result.transferable_set, result.audit
     assert "zbad" not in ids
     assert audit["finite_models"] == 2
     assert audit["sute_evaluations"] == 2 * 2 - 1
@@ -134,8 +142,8 @@ def test_sentinel_models_are_skipped_not_counted():
 # --- diversity set ----------------------------------------------------------------
 
 def test_diversity_q_zero_and_q_overflow():
-    cands = [make_model(f"c{i}", seed=90 + i) for i in range(2)]
-    anchors = [make_model("a0", seed=95)]
+    cands = views([make_model(f"c{i}", seed=90 + i) for i in range(2)])
+    anchors = views([make_model("a0", seed=95)])
     assert diversity_set(cands, anchors, q=0) == []
     got = diversity_set(cands, anchors, q=5)
     assert sorted(got) == ["c0", "c1"]
@@ -145,7 +153,7 @@ def test_diversity_matches_div_scores_oracle():
     cands = [make_model(f"c{i}", seed=100 + i, n=16) for i in range(3)]
     anchors = [make_model(f"a{i}", seed=110 + i, n=16) for i in range(2)]
     kc = KernelConfig(kind="linear")
-    got = diversity_set(cands, anchors, q=2, kc=kc)
+    got = diversity_set(views(cands), views(anchors), q=2, kc=kc)
     scores = div_scores([forward(m) for m in cands],
                         [forward(m) for m in anchors], kc)
     order = np.argsort(scores, kind="stable")
@@ -157,8 +165,8 @@ def test_diversity_flip_selects_most_dependent():
     cands = [make_model(f"c{i}", seed=120 + i, n=16) for i in range(3)]
     anchors = [make_model("a0", seed=125, n=16)]
     kc = KernelConfig(kind="linear")
-    low = diversity_set(cands, anchors, q=1, kc=kc)
-    high = diversity_set(cands, anchors, q=1, kc=kc, flip=True)
+    low = diversity_set(views(cands), views(anchors), q=1, kc=kc)
+    high = diversity_set(views(cands), views(anchors), q=1, kc=kc, flip=True)
     scores = div_scores([forward(m) for m in cands],
                         [forward(m) for m in anchors], kc)
     assert low == [cands[int(np.argmin(scores))].model_id]
@@ -253,7 +261,7 @@ def test_golden_eight_model_zoo_partition(tmp_path):
     anchors = [m for m in records if m.model_id in result.transferable_set]
     pool = [m for m in records
             if m.model_id not in result.transferable_set
-            and not sute_score(m, cfg).rejected]
+            and not sute_score(m, cfg).components.rejected]
     scores = div_scores([forward(m) for m in pool],
                         [forward(m) for m in anchors])
     order = sorted(range(len(pool)),
@@ -261,7 +269,7 @@ def test_golden_eight_model_zoo_partition(tmp_path):
     assert result.diversity_set == [pool[i].model_id for i in order[:2]]
 
     # cross-check the greedy trace against the independent ensemble oracle
-    singles = {m.model_id: sute_score(m, cfg).sute for m in records}
+    singles = {m.model_id: sute_score(m, cfg).components.sute for m in records}
     order = sorted(records, key=lambda m: (-singles[m.model_id], m.model_id))
     expected = [order[0].model_id]
     current = singles[order[0].model_id]
@@ -287,11 +295,11 @@ def test_greedy_guarantee_on_random_zoos():
                              num_classes=num_classes)
                   for j in range(int(rng.integers(2, 6)))]
         cfg = SuteConfig.default(num_classes)
-        singles = [sute_score(m, cfg).sute for m in models]
+        singles = [sute_score(m, cfg).components.sute for m in models]
         finite = [s for s in singles if s is not None]
         if not finite:
             continue
-        _, audit = greedy_transferable_set(models, cfg)
+        audit = select(models, cfg, q=0).audit
         assert audit["final_ensemble_sute"] >= max(finite) - 1e-12
         assert audit["sute_evaluations"] == 2 * len(finite) - 1
         checked += 1

@@ -7,9 +7,9 @@ from conftest import make_model
 from zooadapt.inference import (forward, predictive_semantics,
                                 structural_semantics)
 from zooadapt.sute import (SuteConfig, SuteError, baseline_ane, baseline_nmi,
-                           combine, indicator_gd, indicator_ic, indicator_sc,
-                           phi, score_zoo, sute_of_ensemble, sute_score,
-                           weighted_vote)
+                           combine, ensemble_components, indicator_gd,
+                           indicator_ic, indicator_sc, phi, score_zoo,
+                           sute_score, weighted_vote)
 from test_inference import oracle_conditional_entropy
 
 
@@ -123,7 +123,7 @@ def test_combine_rejection_dominates():
 def test_sute_score_equals_composed_oracle():
     m = make_model(seed=4, n=6, d=3, num_classes=3)
     cfg = SuteConfig.default(3)
-    comp = sute_score(m, cfg)
+    comp = sute_score(m, cfg).components
     p = forward(m)
     pred = predictive_semantics(p)
     stu = structural_semantics(m.features, p)
@@ -144,16 +144,16 @@ def test_ensemble_single_member_equals_individual():
     m = make_model(seed=8)
     cfg = SuteConfig.default(3)
     single = sute_score(m, cfg)
-    ens = sute_of_ensemble([m], [1.0], cfg)
-    assert ens == single
+    ens = ensemble_components([single], [1.0], cfg)
+    assert ens == single.components
 
 
 def test_ensemble_of_identical_members_equals_single():
     m = make_model(seed=9)
     cfg = SuteConfig.default(3)
-    ens = sute_of_ensemble([m, m], [0.5, 0.5], cfg)
     single = sute_score(m, cfg)
-    assert ens.sute == pytest.approx(single.sute, abs=1e-12)
+    ens = ensemble_components([single, single], [0.5, 0.5], cfg)
+    assert ens.sute == pytest.approx(single.components.sute, abs=1e-12)
 
 
 def test_ensemble_matches_explicit_mixture_oracle():
@@ -161,7 +161,7 @@ def test_ensemble_matches_explicit_mixture_oracle():
     b = make_model("b", seed=11)
     cfg = SuteConfig.default(3)
     w = np.array([0.3, 0.7])
-    got = sute_of_ensemble([a, b], w, cfg)
+    got = ensemble_components([sute_score(a, cfg), sute_score(b, cfg)], w, cfg)
 
     pa, pb = forward(a), forward(b)
     mix = 0.3 * pa + 0.7 * pb
@@ -192,8 +192,9 @@ def test_ensemble_one_hot_weights_recover_member():
     a = make_model("a", seed=14)
     b = make_model("b", seed=15)
     cfg = SuteConfig.default(3)
-    got = sute_of_ensemble([a, b], [1.0, 0.0], cfg)
-    assert got == sute_score(a, cfg)
+    view_a = sute_score(a, cfg)
+    got = ensemble_components([view_a, sute_score(b, cfg)], [1.0, 0.0], cfg)
+    assert got == view_a.components
 
 
 # --- baselines ---------------------------------------------------------------------
@@ -223,12 +224,12 @@ def test_baselines_mixed_match_indicator_oracles():
 def test_permutation_invariance_exact():
     m = make_model(seed=17, n=20)
     cfg = SuteConfig.default(3)
-    base = sute_score(m, cfg)
+    base = sute_score(m, cfg).components
     rng = np.random.default_rng(0)
     perm = rng.permutation(20)
     shuffled = make_model(features=m.features[perm], weights=m.weights,
                           bias=m.bias)
-    got = sute_score(shuffled, cfg)
+    got = sute_score(shuffled, cfg).components
     assert got.ic == base.ic
     assert got.sc == base.sc
     assert got.gd == base.gd

@@ -9,11 +9,10 @@ from .ensemble_adapt import (AdaptConfig, EnsembleModel, RecyclePair, adapt,
 from .errors import ZooAdaptError
 from .inference import (conditional_entropy, entropy, forward, mean_entropy,
                         predictive_semantics, structural_semantics)
-from .kernels import active_backend
 from .selection import SelectionResult, diversity_set, select
 from .sute import (SuteComponents, SuteConfig, TransferabilityReport,
-                   baseline_ane, baseline_nmi, indicator_gd, indicator_ic,
-                   indicator_sc, phi, score_zoo, sute_score)
+                   indicator_gd, indicator_ic, indicator_sc, phi,
+                   score_zoo, sute_score)
 from .synthzoo import (ArchSpec, DomainTransform, ScenarioSpec, TrainConfig,
                        accuracy, build_zoo, generate_scenario, spearman)
 from .tensorio import (ModelRecord, TargetBundle, load_zoo, read_tensor,

@@ -12,15 +12,13 @@ class InferenceError(ZooAdaptError):
     pass
 
 
-def forward(m: ModelRecord, temperature: float = 1.0) -> np.ndarray:
-    """Prediction probabilities, softmax((F W^T + b) / temperature) row-wise."""
-    if temperature <= 0:
-        raise InferenceError(f"temperature must be positive, got {temperature}")
+def forward(m: ModelRecord) -> np.ndarray:
+    """Prediction probabilities, softmax(F W^T + b) row-wise."""
     with np.errstate(over="ignore", invalid="ignore"):
         logits = m.features @ m.weights.T + m.bias
     if not np.isfinite(logits).all():
         raise InferenceError(f"model {m.model_id!r}: non-finite logits")
-    return softmax_rows(logits / temperature)
+    return softmax_rows(logits)
 
 
 def predictive_semantics(p: np.ndarray) -> np.ndarray:
@@ -28,17 +26,14 @@ def predictive_semantics(p: np.ndarray) -> np.ndarray:
     return np.argmax(p, axis=1)
 
 
-def structural_semantics(features: np.ndarray, p: np.ndarray,
-                         rounds: int = 2) -> np.ndarray:
+def structural_semantics(features: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Cluster-derived pseudo-labels from probability-weighted centroids.
 
     Feature rows are L2-normalized, centroids seeded by probability
-    weights, then samples are (re)assigned to the nearest centroid by
-    cosine distance until ``rounds`` assignments have been made. An
-    empty class keeps its previous centroid.
+    weights, then samples are assigned to the nearest centroid by cosine
+    distance; the centroids are recomputed from that assignment and the
+    samples assigned once more. An empty class keeps its previous centroid.
     """
-    if rounds < 1:
-        raise InferenceError("rounds must be >= 1")
     feats = np.asarray(features, dtype=np.float64)
     n, _ = feats.shape
     num_classes = p.shape[1]
@@ -52,13 +47,11 @@ def structural_semantics(features: np.ndarray, p: np.ndarray,
     mass = p.sum(axis=0)  # softmax rows are strictly positive
     centroids = (p.T @ fhat) / mass[:, None]
     labels = _assign_cosine(fhat, centroids)
-    for _ in range(rounds - 1):
-        for c in range(num_classes):
-            members = labels == c
-            if members.any():
-                centroids[c] = fhat[members].mean(axis=0)
-        labels = _assign_cosine(fhat, centroids)
-    return labels
+    for c in range(num_classes):
+        members = labels == c
+        if members.any():
+            centroids[c] = fhat[members].mean(axis=0)
+    return _assign_cosine(fhat, centroids)
 
 
 def _assign_cosine(fhat: np.ndarray, centroids: np.ndarray) -> np.ndarray:

@@ -1,116 +1,13 @@
-"""Hot numeric kernels with a numba backend and a pure-numpy fallback.
-
-The backend is chosen once at import time from the ``ZOOADAPT_BACKEND``
-environment variable: ``numba`` (require it), ``numpy`` (force the
-fallback), or ``auto`` (default: numba when importable). All kernels
-take and return float64 arrays; accumulation is 64-bit everywhere.
-"""
-
-import os
+"""Hot numeric kernels, written with numpy (pairwise distances go through
+BLAS). All kernels take and return float64 arrays; accumulation is 64-bit
+everywhere."""
 
 import numpy as np
 
 
-def _softmax_rows_np(z):
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _entropy_rows_np(p):
-    q = np.where(p > 0.0, p, 1.0)
-    return -(p * np.log(q)).sum(axis=1)
-
-
-def _pairwise_sq_dists_np(x):
-    g = x @ x.T
-    sq = np.diag(g)
-    d = sq[:, None] + sq[None, :] - 2.0 * g
-    np.maximum(d, 0.0, out=d)
-    np.fill_diagonal(d, 0.0)
-    return d
-
-
-def _softmax_rows_loop(z):
-    n, c = z.shape
-    out = np.empty((n, c))
-    for i in range(n):
-        m = z[i, 0]
-        for j in range(1, c):
-            if z[i, j] > m:
-                m = z[i, j]
-        s = 0.0
-        for j in range(c):
-            v = np.exp(z[i, j] - m)
-            out[i, j] = v
-            s += v
-        for j in range(c):
-            out[i, j] /= s
-    return out
-
-
-def _entropy_rows_loop(p):
-    n, c = p.shape
-    out = np.empty(n)
-    for i in range(n):
-        h = 0.0
-        for j in range(c):
-            v = p[i, j]
-            if v > 0.0:
-                h -= v * np.log(v)
-        out[i] = h
-    return out
-
-
-def _pairwise_sq_dists_loop(x):
-    n, d = x.shape
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = 0.0
-            for k in range(d):
-                t = x[i, k] - x[j, k]
-                s += t * t
-            out[i, j] = s
-            out[j, i] = s
-    return out
-
-
-def _requested_backend():
-    mode = os.environ.get("ZOOADAPT_BACKEND", "auto").strip().lower()
-    if mode not in ("auto", "numba", "numpy"):
-        raise ValueError(f"ZOOADAPT_BACKEND must be auto, numba or numpy, got {mode!r}")
-    return mode
-
-
-_mode = _requested_backend()
-_BACKEND = "numpy"
-_softmax_impl = _softmax_rows_np
-_entropy_impl = _entropy_rows_np
-_sqdist_impl = _pairwise_sq_dists_np
-
-if _mode in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _softmax_impl = njit(cache=True)(_softmax_rows_loop)
-        _entropy_impl = njit(cache=True)(_entropy_rows_loop)
-        _sqdist_impl = njit(cache=True)(_pairwise_sq_dists_loop)
-        _BACKEND = "numba"
-
-        threads = os.environ.get("ZOOADAPT_THREADS")
-        if threads:
-            import numba
-
-            numba.set_num_threads(max(1, int(threads)))
-    except ImportError:
-        if _mode == "numba":
-            raise
-
-
 def active_backend() -> str:
-    """Name of the backend compiled kernels dispatch to (numba or numpy)."""
-    return _BACKEND
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"
 
 
 def _as_f64(a):
@@ -119,23 +16,24 @@ def _as_f64(a):
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction, n x C in, n x C out."""
-    return _softmax_impl(_as_f64(z))
+    z = _as_f64(z)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def entropy_rows(p: np.ndarray) -> np.ndarray:
     """Natural-log entropy of each row, with 0*log(0) taken as 0."""
-    return _entropy_impl(_as_f64(p))
+    p = _as_f64(p)
+    q = np.where(p > 0.0, p, 1.0)
+    return -(p * np.log(q)).sum(axis=1)
 
 
 def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     """Squared euclidean distances between all row pairs (n x n, zero diagonal)."""
-    return _sqdist_impl(_as_f64(x))
-
-
-# Uncompiled reference implementations, exposed for the backend benchmark
-# and for cross-backend tests.
-NUMPY_IMPLS = {
-    "softmax_rows": _softmax_rows_np,
-    "entropy_rows": _entropy_rows_np,
-    "pairwise_sq_dists": _pairwise_sq_dists_np,
-}
+    x = _as_f64(x)
+    g = x @ x.T
+    sq = np.diag(g)
+    d = sq[:, None] + sq[None, :] - 2.0 * g
+    np.maximum(d, 0.0, out=d)
+    np.fill_diagonal(d, 0.0)
+    return d

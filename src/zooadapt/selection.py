@@ -2,6 +2,7 @@
 pass over the remainder, and the inlier/outlier partition."""
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .diversity import KernelConfig, div_scores
@@ -15,8 +16,8 @@ class SelectionError(ZooAdaptError):
     pass
 
 
-SELECTION_KEYS = ("transferable_set", "diversity_set", "inliers", "outliers",
-                  "sutes", "audit")
+ID_KEYS = ("transferable_set", "diversity_set", "inliers", "outliers")
+SELECTION_KEYS = ID_KEYS + ("sutes", "audit")
 
 
 @dataclass
@@ -47,6 +48,13 @@ class SelectionResult:
         missing = [k for k in SELECTION_KEYS if k not in doc]
         if missing:
             raise SelectionError(f"selection lacks key {missing[0]!r}")
+        for k in ID_KEYS:
+            if not (isinstance(doc[k], list)
+                    and all(isinstance(mid, str) for mid in doc[k])):
+                raise SelectionError(f"selection key {k!r} must be a list of ids")
+        for k in ("sutes", "audit"):
+            if not isinstance(doc[k], dict):
+                raise SelectionError(f"selection key {k!r} must be an object")
         return cls(**{k: doc[k] for k in SELECTION_KEYS})
 
     def inlier_ensemble(self, records: list[ModelRecord]
@@ -58,8 +66,11 @@ class SelectionResult:
             if mid not in by_id:
                 raise SelectionError(f"model {mid!r} is not in the manifest")
         for mid in self.inliers:
-            if not isinstance(self.sutes.get(mid), (int, float)):
-                raise SelectionError(f"inlier {mid!r} has no numeric score in sutes")
+            score = self.sutes.get(mid)
+            if not (isinstance(score, (int, float))
+                    and abs(score) <= sys.float_info.max):
+                raise SelectionError(
+                    f"inlier {mid!r} has no finite numeric score in sutes")
         ensemble = build_ensemble([by_id[i] for i in self.inliers],
                                   [self.sutes[i] for i in self.inliers])
         return ensemble, [by_id[i] for i in self.outliers]

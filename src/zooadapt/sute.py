@@ -177,18 +177,6 @@ def weighted_vote(label_lists: list[np.ndarray], weights: np.ndarray,
     return np.argmax(tallies, axis=1)
 
 
-def baseline_ane(p: np.ndarray) -> float:
-    """Average negative entropy of the predictions."""
-    return indicator_ic(p)
-
-
-def baseline_nmi(p: np.ndarray) -> float:
-    """Empirical mutual information between inputs and predictions:
-    entropy of the mean prediction minus mean prediction entropy
-    (higher reads as more transferable)."""
-    return indicator_gd(p) + indicator_ic(p)
-
-
 @dataclass
 class TransferabilityReport:
     rows: list[ModelScores]

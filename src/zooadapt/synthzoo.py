@@ -397,13 +397,9 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def spearman(x, y, method: str = "t", n_resamples: int = 10000,
-             seed: int = 0) -> SpearmanResult:
-    """Rank correlation with average ranks for ties.
-
-    method="t" uses the two-sided Student-t approximation
-    t = rho*sqrt((n-2)/(1-rho^2)); method="perm" estimates the p-value
-    by resampling instead.
+def spearman(x, y) -> SpearmanResult:
+    """Rank correlation with average ranks for ties, and the two-sided
+    p-value of the Student-t approximation t = rho*sqrt((n-2)/(1-rho^2)).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -412,27 +408,6 @@ def spearman(x, y, method: str = "t", n_resamples: int = 10000,
     n = x.shape[0]
     if n < 3:
         raise SynthError("need at least 3 points")
-    rho = _rank_corr(x, y)
-    if rho is None:
-        return SpearmanResult(rho=math.nan, p_value=math.nan, degenerate=True)
-    if method == "perm":
-        rng = np.random.default_rng(seed)
-        hits = 0
-        for _ in range(n_resamples):
-            r = _rank_corr(x, rng.permutation(y))
-            if r is not None and abs(r) >= abs(rho) - 1e-12:
-                hits += 1
-        return SpearmanResult(rho=rho, p_value=(hits + 1) / (n_resamples + 1))
-    if method != "t":
-        raise SynthError(f"unknown method {method!r}")
-    if 1.0 - rho * rho <= 0.0:
-        return SpearmanResult(rho=rho, p_value=0.0)
-    t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(stdtr(n - 2, -abs(t)))
-    return SpearmanResult(rho=rho, p_value=p)
-
-
-def _rank_corr(x: np.ndarray, y: np.ndarray) -> float | None:
     rx = _average_ranks(x)
     ry = _average_ranks(y)
     dx = rx - rx.mean()
@@ -440,8 +415,13 @@ def _rank_corr(x: np.ndarray, y: np.ndarray) -> float | None:
     vx = float(dx @ dx)
     vy = float(dy @ dy)
     if vx == 0.0 or vy == 0.0:
-        return None
-    return float(dx @ dy) / math.sqrt(vx * vy)
+        return SpearmanResult(rho=math.nan, p_value=math.nan, degenerate=True)
+    rho = float(dx @ dy) / math.sqrt(vx * vy)
+    if 1.0 - rho * rho <= 0.0:
+        return SpearmanResult(rho=rho, p_value=0.0)
+    t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+    p = 2.0 * float(stdtr(n - 2, -abs(t)))
+    return SpearmanResult(rho=rho, p_value=p)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,8 @@ def load_zoo(manifest_path) -> tuple[list[ModelRecord], TargetBundle]:
     except json.JSONDecodeError as e:
         raise ManifestError(f"{manifest_path}: invalid JSON ({e})")
 
+    if not isinstance(doc, dict):
+        raise ManifestError(f"{manifest_path}: manifest must be a JSON object")
     if doc.get("version") != 1:
         raise ManifestError(f"{manifest_path}: unsupported version {doc.get('version')!r}")
     tgt = doc.get("target")
@@ -168,21 +170,28 @@ def load_zoo(manifest_path) -> tuple[list[ModelRecord], TargetBundle]:
     base = manifest_path.parent
     records: list[ModelRecord] = []
     seen: set[str] = set()
-    for index, entry in enumerate(doc.get("models", [])):
+    models = doc.get("models", [])
+    if not isinstance(models, list):
+        raise ManifestError(f"{manifest_path}: models must be a list")
+    for index, entry in enumerate(models):
         if not isinstance(entry, dict):
             raise ManifestError(f"model #{index}: entry is not an object")
-        name = repr(entry["id"]) if "id" in entry else f"#{index}"
+        mid = entry.get("id")
+        name = repr(mid) if isinstance(mid, str) else f"#{index}"
         for key in ENTRY_KEYS:
             if key not in entry:
                 raise ManifestError(f"model {name}: missing key {key!r}")
-        mid = entry["id"]
+            if not isinstance(entry[key], str):
+                raise ManifestError(f"model {name}: key {key!r} must be a string")
+        if not isinstance(entry.get("meta", {}), dict):
+            raise ManifestError(f"model {name}: key 'meta' must be an object")
         if mid in seen:
             raise ManifestError(f"duplicate model_id {mid!r}")
         seen.add(mid)
         arrays = {}
         for key in ("features", "weights", "bias"):
             p = base / entry[key]
-            if not p.exists():
+            if not p.is_file():
                 raise ManifestError(f"model {mid!r}: missing file {p}")
             arrays[key] = read_tensor(p).astype(np.float64)
         feats, w, b = arrays["features"], arrays["weights"], arrays["bias"]

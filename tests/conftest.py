@@ -1,33 +1,9 @@
-import os
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import zooadapt
 from zooadapt.synthzoo import (ArchSpec, DomainTransform, ScenarioSpec,
                                TrainConfig, build_zoo, generate_scenario)
 from zooadapt.tensorio import ModelRecord
-
-
-def child_env(**overrides):
-    """The caller's environment for a child Python process, with overrides.
-
-    A value of ``None`` removes that variable. The ``src`` root of the
-    ``zooadapt`` under test goes first on ``PYTHONPATH``, so the child
-    imports the same code whether or not the package is installed and
-    whatever its working directory is.
-    """
-    env = dict(os.environ)
-    for key, value in overrides.items():
-        if value is None:
-            env.pop(key, None)
-        else:
-            env[key] = value
-    src = str(Path(zooadapt.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return env
 
 
 def make_model(model_id="m0", features=None, weights=None, bias=None,

@@ -1,6 +1,5 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL
-line. Budgeted runs are wall-clock timed in-process with kernel
-threading pinned to one thread."""
+line. Budgeted runs are wall-clock timed in-process."""
 
 import csv
 import subprocess
@@ -25,14 +24,6 @@ from zooadapt.synthzoo import (accuracy, build_zoo, generate_scenario,
                                reference_archs, reference_grid,
                                reference_scenario, spearman)
 from zooadapt.tensorio import load_zoo
-
-try:
-    import numba
-
-    numba.set_num_threads(1)
-except ImportError:
-    pass
-
 
 def report(capfd, num: int, desc: str, ok: bool) -> None:
     line = f"ACCEPTANCE {'PASS' if ok else 'FAIL'} [criterion {num}] {desc}"

@@ -1,8 +1,11 @@
-"""The benchmark's traced run (pipebench/spans.py) wraps package functions
-by their "<module>.<function>" names; a rename or removal breaks it."""
+"""The benchmark (pipebench/) imports package names and its traced run
+(pipebench/spans.py) wraps package functions by their "<module>.<function>"
+names; a rename or removal breaks it."""
 
+import ast
 import importlib
 import importlib.util
+import types
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "pipebench" / "spans.py"
@@ -19,3 +22,34 @@ def test_every_traced_name_is_a_package_callable():
         if not callable(getattr(mod, name, None)):
             missing.append(qual)
     assert spans.TRACED and missing == []
+
+
+def _zooadapt_uses(tree):
+    """(module, name) for each name imported from a zooadapt module and
+    each attribute read on a zooadapt module imported by name."""
+    importlib.import_module("zooadapt.cli")  # loads every module
+    aliases = {}  # local name -> zooadapt module path
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.split(".")[0] == "zooadapt"):
+            for a in node.names:
+                uses.append((node.module, a.name))
+                obj = getattr(importlib.import_module(node.module), a.name, None)
+                if isinstance(obj, types.ModuleType):
+                    aliases[a.asname or a.name] = obj.__name__
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            uses.append((aliases[node.value.id], node.attr))
+    return uses
+
+
+def test_every_zooadapt_name_the_benchmark_uses_exists():
+    checked, missing = 0, []
+    for path in sorted(SPANS.parent.glob("*.py")):
+        for module, name in _zooadapt_uses(ast.parse(path.read_text())):
+            checked += 1
+            if not hasattr(importlib.import_module(module), name):
+                missing.append(f"{path.name}: {module}.{name}")
+    assert checked and missing == []

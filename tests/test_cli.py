@@ -1,8 +1,13 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import MINI_ARCHS, MINI_GRID, child_env, mini_scenario
+from conftest import MINI_ARCHS, MINI_GRID, mini_scenario
 from zooadapt.cli import main
 from zooadapt.synthzoo import (ArchSpec, DomainTransform, ScenarioSpec,
                                TrainConfig, build_zoo, generate_scenario)
@@ -162,18 +167,6 @@ def test_select_flip_diversity_changes_pick(zoo, tmp_path):
     assert da["diversity_set"] != db["diversity_set"]
 
 
-def test_threads_env_var_accepted():
-    import subprocess
-    import sys
-
-    out = subprocess.run(
-        [sys.executable, "-c", "import zooadapt; print('ok')"],
-        env=child_env(ZOOADAPT_THREADS="1", ZOOADAPT_BACKEND=None),
-        capture_output=True, text=True)
-    assert out.returncode == 0
-    assert out.stdout.strip() == "ok"
-
-
 def _single_error_line(capsys, rc) -> str:
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
@@ -181,13 +174,20 @@ def _single_error_line(capsys, rc) -> str:
     return err[0]
 
 
+def _absolute_manifest(manifest) -> dict:
+    """The manifest document with absolute tensor paths, so a modified
+    copy can be written to another directory."""
+    doc = json.loads(manifest.read_text())
+    for entry in doc["models"]:
+        for k in ("features", "weights", "bias"):
+            entry[k] = str(manifest.parent / entry[k])
+    return doc
+
+
 @pytest.mark.parametrize("key", ["id", "domain", "arch", "features",
                                  "weights", "bias"])
 def test_manifest_entry_missing_key(zoo, tmp_path, capsys, key):
-    doc = json.loads(zoo.read_text())
-    for entry in doc["models"]:
-        for k in ("features", "weights", "bias"):
-            entry[k] = str(zoo.parent / entry[k])
+    doc = _absolute_manifest(zoo)
     name = doc["models"][1]["id"]
     del doc["models"][1][key]
     manifest = tmp_path / "manifest.json"
@@ -196,6 +196,31 @@ def test_manifest_entry_missing_key(zoo, tmp_path, capsys, key):
     line = _single_error_line(capsys, rc)
     assert "ManifestError" in line and f"missing key {key!r}" in line
     assert ("#1" if key == "id" else repr(name)) in line
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("id", ["m"], "key 'id' must be a string"),
+    ("domain", 3, "key 'domain' must be a string"),
+    ("features", 5, "key 'features' must be a string"),
+    ("meta", 5, "key 'meta' must be an object"),
+    ("models", 5, "models must be a list")],
+    ids=["id_a_list", "domain_a_number", "features_a_number",
+         "meta_a_number", "models_a_number"])
+def test_manifest_value_of_wrong_type(zoo, tmp_path, capsys, key, value,
+                                      message):
+    doc = _absolute_manifest(zoo)
+    name = doc["models"][1]["id"]
+    if key == "models":
+        doc["models"] = value
+    else:
+        doc["models"][1][key] = value
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    rc = main(["estimate", str(manifest), "-o", str(tmp_path / "est.csv")])
+    line = _single_error_line(capsys, rc)
+    assert "ManifestError" in line and message in line
+    if key != "models":
+        assert ("#1" if key == "id" else repr(name)) in line
 
 
 def test_manifest_target_size_not_an_integer(zoo, tmp_path, capsys):
@@ -221,6 +246,18 @@ def _bad_selection(doc: dict, case: str) -> str:
         del doc["sutes"][doc["inliers"][0]]
     elif case == "inlier_score_not_a_number":
         doc["sutes"][doc["inliers"][0]] = "high"
+    elif case == "inlier_score_too_large":
+        doc["sutes"][doc["inliers"][0]] = 10 ** 400
+    elif case == "inliers_a_string":
+        doc["inliers"] = doc["inliers"][0]
+    elif case == "outliers_null":
+        doc["outliers"] = None
+    elif case == "id_not_a_string":
+        doc["transferable_set"].append(7)
+    elif case == "sutes_a_list":
+        doc["sutes"] = []
+    elif case == "audit_a_string":
+        doc["audit"] = "none"
     return json.dumps(doc)
 
 
@@ -229,7 +266,11 @@ def _bad_selection(doc: dict, case: str) -> str:
                                   "inlier_not_in_manifest",
                                   "outlier_not_in_manifest",
                                   "inlier_not_in_sutes",
-                                  "inlier_score_not_a_number"])
+                                  "inlier_score_not_a_number",
+                                  "inlier_score_too_large",
+                                  "inliers_a_string", "outliers_null",
+                                  "id_not_a_string", "sutes_a_list",
+                                  "audit_a_string"])
 def test_bad_selection_json(zoo, tmp_path, capsys, command, case):
     good = tmp_path / "sel.json"
     assert main(["select", str(zoo), "-o", str(good), "--q", "1"]) == 0
@@ -274,3 +315,64 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
         "scenario": ["build", str(not_json), str(tmp_path / "zoo")],
     }[case]
     assert error in _single_error_line(capsys, main(argv))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(mini_zoo, tmp_path_factory):
+    """A work directory, a valid selection of mini_zoo and its manifest."""
+    work = tmp_path_factory.mktemp("fuzz")
+    sel = work / "sel.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["select", str(mini_zoo), "-o", str(sel), "--q", "1"]) == 0
+    return work, json.loads(sel.read_text()), _absolute_manifest(mini_zoo)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), value=JSON_VALUES)
+def test_fuzzed_value_ends_in_success_or_one_error_line(mini_zoo, fuzz_inputs,
+                                                        data, value):
+    """One value of a valid selection or manifest entry replaced by an
+    arbitrary JSON value: the stage succeeds or prints one error line."""
+    work, selection, manifest = fuzz_inputs
+    command = data.draw(st.sampled_from(["estimate", "adapt", "eval"]))
+    if command == "estimate":
+        doc = copy.deepcopy(manifest)
+        index = data.draw(st.integers(0, len(doc["models"]) - 1))
+        container = doc["models"][index]
+    else:
+        doc = copy.deepcopy(selection)
+        where = data.draw(st.sampled_from(
+            [None, "sutes"] + [k for k in ("inliers", "outliers") if doc[k]]))
+        container = doc if where is None else doc[where]
+    key = data.draw(st.sampled_from(
+        range(len(container)) if isinstance(container, list)
+        else sorted(container)))
+    container[key] = value
+    path = work / ("manifest.json" if command == "estimate" else "bad.json")
+    path.write_text(json.dumps(doc))
+
+    out = str(work / "out.csv")
+    argv = {
+        "estimate": ["estimate", str(path), "-o", out],
+        "adapt": ["adapt", str(mini_zoo), str(path), "-o", out,
+                  "--epochs", "1"],
+        "eval": ["eval", str(mini_zoo),
+                 str(mini_zoo.parent / "target_labels.txt"), str(path),
+                 "-o", out, "--summary", str(work / "sum.csv")],
+    }[command]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(argv)
+    if rc != 0:
+        lines = err.getvalue().splitlines()
+        assert rc == 1
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

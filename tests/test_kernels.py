@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import child_env
 from zooadapt import kernels
 
 
@@ -71,30 +70,5 @@ def test_pairwise_sq_dists_matches_naive(rng):
     assert (d >= 0).all()
 
 
-def test_numpy_fallback_agrees_with_active_backend(rng):
-    z = rng.normal(size=(20, 4)) * 3
-    p = kernels.softmax_rows(z)
-    x = rng.normal(size=(15, 3))
-    np.testing.assert_allclose(
-        kernels.NUMPY_IMPLS["softmax_rows"](z), kernels.softmax_rows(z), atol=1e-12)
-    np.testing.assert_allclose(
-        kernels.NUMPY_IMPLS["entropy_rows"](p), kernels.entropy_rows(p), atol=1e-12)
-    np.testing.assert_allclose(
-        kernels.NUMPY_IMPLS["pairwise_sq_dists"](x), kernels.pairwise_sq_dists(x),
-        atol=1e-10)
-
-
 def test_backend_name_is_reported():
-    assert kernels.active_backend() in ("numba", "numpy")
-
-
-def test_backend_env_flag_selects_numpy(tmp_path):
-    import subprocess
-    import sys
-
-    code = ("import zooadapt.kernels as k; print(k.active_backend())")
-    out = subprocess.run([sys.executable, "-c", code],
-                         env=child_env(ZOOADAPT_BACKEND="numpy"),
-                         capture_output=True, text=True)
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"
+    assert kernels.active_backend() == "numpy"

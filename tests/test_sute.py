@@ -6,10 +6,10 @@ import pytest
 from conftest import make_model
 from zooadapt.inference import (forward, predictive_semantics,
                                 structural_semantics)
-from zooadapt.sute import (SuteConfig, SuteError, baseline_ane, baseline_nmi,
-                           combine, ensemble_components, indicator_gd,
-                           indicator_ic, indicator_sc, phi, score_zoo,
-                           sute_score, weighted_vote)
+from zooadapt.sute import (SuteConfig, SuteError, combine,
+                           ensemble_components, indicator_gd, indicator_ic,
+                           indicator_sc, phi, score_zoo, sute_score,
+                           weighted_vote)
 from test_inference import oracle_conditional_entropy
 
 
@@ -201,22 +201,15 @@ def test_ensemble_one_hot_weights_recover_member():
 
 def test_baselines_one_hot_balanced():
     p = np.eye(4)[np.tile(np.arange(4), 5)]
-    assert baseline_ane(p) == 0.0
-    assert baseline_nmi(p) == pytest.approx(math.log(4), abs=1e-12)
+    assert indicator_ic(p) == 0.0
+    assert indicator_gd(p) + indicator_ic(p) == pytest.approx(math.log(4),
+                                                              abs=1e-12)
 
 
 def test_baselines_uniform():
     p = np.full((6, 4), 0.25)
-    assert baseline_ane(p) == pytest.approx(-math.log(4), abs=1e-12)
-    assert baseline_nmi(p) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_baselines_mixed_match_indicator_oracles():
-    rng = np.random.default_rng(5)
-    p = rng.dirichlet(np.ones(4), size=9)
-    assert baseline_ane(p) == pytest.approx(indicator_ic(p), abs=1e-15)
-    assert baseline_nmi(p) == pytest.approx(
-        indicator_gd(p) + indicator_ic(p), abs=1e-15)
+    assert indicator_ic(p) == pytest.approx(-math.log(4), abs=1e-12)
+    assert indicator_gd(p) + indicator_ic(p) == pytest.approx(0.0, abs=1e-12)
 
 
 # --- properties ----------------------------------------------------------------------
@@ -249,14 +242,6 @@ def test_sute_monotone_in_gd_within_band():
               for gd in np.linspace(0.2, 1.0, 9)]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
     assert combine(0, 0, 5.0, cfg).phi_gd <= cfg.tau_h
-
-
-def test_nmi_ranking_equals_ic_plus_gd_ranking():
-    rng = np.random.default_rng(23)
-    mats = [rng.dirichlet(np.ones(4), size=12) for _ in range(8)]
-    nmi = [baseline_nmi(p) for p in mats]
-    composed = [indicator_ic(p) + indicator_gd(p) for p in mats]
-    assert np.argsort(nmi).tolist() == np.argsort(composed).tolist()
 
 
 # --- report CSV ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ adaptation for heterogeneous model zoos on an unlabeled target set."""
 from .diversity import KernelConfig, div_scores, hsic
 from .ensemble_adapt import (AdaptConfig, EnsembleModel, RecyclePair, adapt,
                              build_ensemble, ensemble_forward,
-                             ensemble_weights, loss_cim, loss_im, loss_omr,
-                             loss_pse, loss_sim, mine_recycle_pairs)
+                             ensemble_weights, loss_im, loss_omr, loss_pse,
+                             loss_sim, mine_recycle_pairs, objective)
 from .errors import ZooAdaptError
 from .inference import (conditional_entropy, entropy, forward, mean_entropy,
                         predictive_semantics, structural_semantics)

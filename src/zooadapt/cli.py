@@ -9,6 +9,7 @@ seeded, so reruns with identical inputs produce byte-identical outputs.
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -116,7 +117,7 @@ def _parse_scenario(path) -> ScenarioSpec:
 def cmd_build(args) -> int:
     spec = _parse_scenario(args.scenario)
     if args.seed is not None:
-        spec.seed = args.seed
+        spec = replace(spec, seed=args.seed)
     archs = [ArchSpec.parse(tok, seed=spec.seed * 1000 + i)
              for i, tok in enumerate(args.archs.split(","))]
     configs = [TrainConfig.parse(tok) for tok in args.grid.split(";")]

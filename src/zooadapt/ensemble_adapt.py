@@ -142,11 +142,6 @@ def loss_sim(probs: list[np.ndarray], weights: np.ndarray) -> float:
     return float(sum(w * loss_im(p) for w, p in zip(weights, probs)))
 
 
-def loss_cim(probs: list[np.ndarray], weights: np.ndarray) -> float:
-    """IM loss of the whole mixture (the collaborative variant)."""
-    return loss_im(mix_outputs(probs, weights))
-
-
 @dataclass
 class AdaptConfig:
     gamma1: float = 0.3
@@ -168,9 +163,8 @@ class AdaptConfig:
 
 
 # ---------------------------------------------------------------------------
-# Analytic gradients. Each loss term yields dL/dP_bar (or dL/dP_j for the
-# separate-IM term); the member chain applies the softmax Jacobian and the
-# frozen feature matrix:
+# Analytic gradients. L_pse and L_omr yield dL/dP_bar, L_sim yields dL/dP_j;
+# the member chain applies the softmax Jacobian and the frozen features:
 #   dL/dZ_j = theta_j * (P_j .* D - rowsum(P_j .* D) .* P_j)
 #   dL/dW_j = dL/dZ_j^T F_j,   dL/db_j = colsum(dL/dZ_j)
 # ---------------------------------------------------------------------------
@@ -200,42 +194,32 @@ def _d_im(p: np.ndarray) -> np.ndarray:
         return (np.log(mean_row)[None, :] - np.log(p)) / n
 
 
-def term_value_and_grads(term: str, features: list[np.ndarray],
-                         weights: list[np.ndarray], biases: list[np.ndarray],
-                         theta: np.ndarray, labels: np.ndarray | None = None,
-                         pairs: list[RecyclePair] | None = None):
-    """One loss term's value and analytic per-member head gradients.
+def objective(features: list[np.ndarray], probs: list[np.ndarray],
+              mixture: np.ndarray, theta: np.ndarray, labels: np.ndarray,
+              pairs: list[RecyclePair], cfg: AdaptConfig):
+    """The adaptation loss L_all and its analytic head gradients.
 
-    term is one of sim, pse, omr, cim; labels (for pse) and pairs (for
-    omr) are treated as constants. Returns (value, [(gW, gb), ...]).
+    probs[j] is member j's softmax output on features[j], mixture their
+    theta-weighted sum; pseudo-labels and recycled pairs are constants.
+    Returns ((l_sim, l_pse, l_omr), d_mix, [(gW, gb), ...]): the three
+    loss terms, dL_all/dP_bar of the two cross-entropy terms, and each
+    member's head gradient of L_all.
     """
-    probs = [softmax_rows(f @ w.T + b)
-             for f, w, b in zip(features, weights, biases)]
-    mixture = mix_outputs(probs, theta)
+    l_sim = loss_sim(probs, theta)
+    l_pse = loss_pse(mixture, labels)
+    l_omr = loss_omr(mixture, pairs)
+
     n = mixture.shape[0]
-    if term == "pse":
-        value = loss_pse(mixture, labels)
-        d_mix = _d_ce(mixture, np.arange(n), labels, n)
-        d_ps = [t * d_mix for t in theta]
-    elif term == "omr":
-        pairs = pairs or []
-        idx = np.array([p.sample_index for p in pairs], dtype=int)
-        lab = np.array([p.label for p in pairs], dtype=int)
-        value = loss_omr(mixture, pairs)
-        d_mix = _d_ce(mixture, idx, lab, len(pairs))
-        d_ps = [t * d_mix for t in theta]
-    elif term == "sim":
-        value = loss_sim(probs, theta)
-        d_ps = [t * _d_im(p) for t, p in zip(theta, probs)]
-    elif term == "cim":
-        value = loss_cim(probs, theta)
-        d_mix = _d_im(mixture)
-        d_ps = [t * d_mix for t in theta]
-    else:
-        raise AdaptError(f"unknown loss term {term!r}")
-    grads = [_chain_to_head(d_p, p, f)
-             for d_p, p, f in zip(d_ps, probs, features)]
-    return value, grads
+    pair_idx = np.array([p.sample_index for p in pairs], dtype=int)
+    pair_lab = np.array([p.label for p in pairs], dtype=int)
+    d_mix = _d_ce(mixture, np.arange(n), labels, n) * cfg.gamma1
+    d_mix += _d_ce(mixture, pair_idx, pair_lab, len(pair_idx)) * cfg.gamma2
+
+    grads = []
+    for t, f, p in zip(theta, features, probs):
+        with np.errstate(invalid="ignore"):
+            grads.append(_chain_to_head(t * d_mix + t * _d_im(p), p, f))
+    return (l_sim, l_pse, l_omr), d_mix, grads
 
 
 @dataclass
@@ -286,29 +270,20 @@ def adapt(e: EnsembleModel, outliers: list[ModelRecord], cfg: AdaptConfig,
         # refresh constants: pseudo-labels and recycled outlier pairs
         labels = pseudo_labels(mixture)
         pairs = mine_recycle_pairs(outlier_ids, outlier_probs, cfg.tau_recycle)
-        pair_idx = np.array([p.sample_index for p in pairs], dtype=int)
-        pair_lab = np.array([p.label for p in pairs], dtype=int)
-
-        l_sim = loss_sim(probs, theta)
-        l_pse = loss_pse(mixture, labels)
-        l_omr = loss_omr(mixture, pairs)
-        l_all = l_sim + cfg.gamma1 * l_pse + cfg.gamma2 * l_omr
-        for name, value in (("L_sim", l_sim), ("L_pse", l_pse),
-                            ("L_omr", l_omr)):
+        terms, d_mix, grads = objective(feats, probs, mixture, theta, labels,
+                                        pairs, cfg)
+        for name, value in zip(("L_sim", "L_pse", "L_omr"), terms):
             if not np.isfinite(value):
                 raise AdaptError(f"non-finite loss term {name} at epoch {epoch}")
-        history.append(epoch, l_sim, l_pse, l_omr, l_all)
+        l_sim, l_pse, l_omr = terms
+        history.append(epoch, l_sim, l_pse, l_omr,
+                       l_sim + cfg.gamma1 * l_pse + cfg.gamma2 * l_omr)
 
-        n = mixture.shape[0]
-        d_mix = _d_ce(mixture, np.arange(n), labels, n) * cfg.gamma1
-        d_mix += _d_ce(mixture, pair_idx, pair_lab, len(pair_idx)) * cfg.gamma2
-
-        for j, (f, p) in enumerate(zip(feats, probs)):
-            with np.errstate(invalid="ignore"):
-                d_p = theta[j] * d_mix + theta[j] * _d_im(p)
-                g_w, g_b = _chain_to_head(d_p, p, f)
+        for j, (g_w, g_b) in enumerate(grads):
             vel_w[j] = cfg.momentum * vel_w[j] + g_w
             vel_b[j] = cfg.momentum * vel_b[j] + g_b
+            heads_w[j] = heads_w[j] - cfg.lr * vel_w[j]
+            heads_b[j] = heads_b[j] - cfg.lr * vel_b[j]
 
         if learnable_weights:
             g_theta = np.array([
@@ -319,10 +294,6 @@ def adapt(e: EnsembleModel, outliers: list[ModelRecord], cfg: AdaptConfig,
             rho = rho - cfg.lr * vel_rho
             theta = np.exp(rho - rho.max())
             theta = theta / theta.sum()
-
-        for j in range(len(heads_w)):
-            heads_w[j] = heads_w[j] - cfg.lr * vel_w[j]
-            heads_b[j] = heads_b[j] - cfg.lr * vel_b[j]
 
     adapted = [m.with_head(w, b)
                for m, w, b in zip(e.members, heads_w, heads_b)]

@@ -9,8 +9,9 @@ the only code in the package that ever touches target labels.
 
 import json
 import math
+import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -26,11 +27,26 @@ class SynthError(ZooAdaptError):
     pass
 
 
+def _check_numbers(obj) -> None:
+    """Each int field of a dataclass holds an int, each float field a
+    finite int or float; bools, strings and null are neither."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        kinds = {int: int, float: (int, float)}.get(f.type)
+        if kinds and not (isinstance(v, kinds) and not isinstance(v, bool)
+                          and abs(v) <= sys.float_info.max):
+            raise SynthError(f"{f.name} must be " + (
+                "an integer" if f.type is int else "a finite number"))
+
+
 @dataclass(frozen=True)
 class DomainTransform:
     rotation: float = 0.0  # radians, applied as Givens rotations on axis pairs
     translation: float = 0.0  # magnitude along the normalized all-ones direction
     noise: float = 0.0  # stddev of isotropic noise added after the transform
+
+    def __post_init__(self):
+        _check_numbers(self)
 
 
 @dataclass
@@ -47,6 +63,10 @@ class ScenarioSpec:
     class_sigma: float = 1.0
 
     def __post_init__(self):
+        _check_numbers(self)
+        if self.seed < 0 or min(self.d0, self.samples_per_domain,
+                                self.target_samples) < 1:
+            raise SynthError("need seed >= 0, and d0 and sample counts >= 1")
         if self.num_classes < 2:
             raise SynthError("need at least 2 classes")
         if self.num_domains < 1:
@@ -109,11 +129,12 @@ def rotation_matrix(d: int, angle: float) -> np.ndarray:
     return r
 
 
-def transformed_anchors(anchors: np.ndarray, t: DomainTransform) -> np.ndarray:
-    """Class means under a domain transform; equal transforms give equal laws."""
-    d = anchors.shape[1]
+def apply_transform(x: np.ndarray, t: DomainTransform) -> np.ndarray:
+    """Rows of x rotated and shifted by t, before its noise; equal
+    transforms give equal laws."""
+    d = x.shape[1]
     shift = t.translation * np.ones(d) / math.sqrt(d)
-    return anchors @ rotation_matrix(d, t.rotation).T + shift
+    return x @ rotation_matrix(d, t.rotation).T + shift
 
 
 def _balanced_labels(n: int, num_classes: int, rng) -> np.ndarray:
@@ -126,9 +147,7 @@ def _balanced_labels(n: int, num_classes: int, rng) -> np.ndarray:
 def _sample_domain(anchors, t: DomainTransform, n, sigma, rng):
     num_classes, d = anchors.shape
     y = _balanced_labels(n, num_classes, rng)
-    base = anchors[y] + rng.normal(size=(n, d)) * sigma
-    x = base @ rotation_matrix(d, t.rotation).T
-    x += t.translation * np.ones(d) / math.sqrt(d)
+    x = apply_transform(anchors[y] + rng.normal(size=(n, d)) * sigma, t)
     x += rng.normal(size=(n, d)) * t.noise
     return x, y
 

@@ -161,11 +161,11 @@ def load_zoo(manifest_path) -> tuple[list[ModelRecord], TargetBundle]:
     tgt = doc.get("target")
     if not isinstance(tgt, dict) or "n" not in tgt or "C" not in tgt:
         raise ManifestError(f"{manifest_path}: target descriptor missing n/C")
-    try:
-        target = TargetBundle(n=int(tgt["n"]), num_classes=int(tgt["C"]),
-                              labels_path=tgt.get("labels"))
-    except (TypeError, ValueError):
+    if any(not isinstance(tgt[k], int) or isinstance(tgt[k], bool)
+           for k in ("n", "C")):
         raise ManifestError(f"{manifest_path}: target n and C must be integers")
+    target = TargetBundle(n=tgt["n"], num_classes=tgt["C"],
+                          labels_path=tgt.get("labels"))
 
     base = manifest_path.parent
     records: list[ModelRecord] = []

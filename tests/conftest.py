@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from zooadapt.ensemble_adapt import AdaptConfig, mix_outputs, objective
+from zooadapt.kernels import softmax_rows
 from zooadapt.synthzoo import (ArchSpec, DomainTransform, ScenarioSpec,
                                TrainConfig, build_zoo, generate_scenario)
 from zooadapt.tensorio import ModelRecord
@@ -23,6 +25,27 @@ def make_model(model_id="m0", features=None, weights=None, bias=None,
                        features=np.asarray(features, dtype=np.float64),
                        weights=np.asarray(weights, dtype=np.float64),
                        bias=np.asarray(bias, dtype=np.float64))
+
+
+def objective_term(term, feats, ws, bs, theta, labels, pairs):
+    """One L_all term's value and per-member head gradients, both from
+    objective at the heads (ws, bs). The gradient of L_sim is objective's
+    at gamma1 = gamma2 = 0; that of L_pse (L_omr) is objective's at
+    gamma1 = 1 (gamma2 = 1) minus the former."""
+    probs = [softmax_rows(f @ w.T + b) for f, w, b in zip(feats, ws, bs)]
+    mixture = mix_outputs(probs, theta)
+
+    def at(gamma1, gamma2):
+        return objective(feats, probs, mixture, theta, labels, pairs,
+                         AdaptConfig(gamma1=gamma1, gamma2=gamma2))
+
+    terms, _, base = at(0.0, 0.0)
+    index = ("sim", "pse", "omr").index(term)
+    if index == 0:
+        return terms[0], base
+    _, _, grads = at(float(index == 1), float(index == 2))
+    return terms[index], [(gw - bw, gb - bb)
+                          for (gw, gb), (bw, bb) in zip(grads, base)]
 
 
 def mini_scenario(seed=5):

@@ -10,11 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_model
+from conftest import make_model, objective_term
 from zooadapt.cli import main as cli_main
 from zooadapt.diversity import hsic
-from zooadapt.ensemble_adapt import (RecyclePair, mix_outputs, pseudo_labels,
-                                     term_value_and_grads)
+from zooadapt.ensemble_adapt import RecyclePair, mix_outputs, pseudo_labels
 from zooadapt.inference import forward
 from zooadapt.kernels import softmax_rows
 from zooadapt.selection import select
@@ -183,10 +182,9 @@ def test_criterion_5_gradient_correctness(capfd):
         pairs = [RecyclePair(int(i), int(rng.integers(num_classes)), "o", 0.99)
                  for i in rng.choice(n, size=k, replace=False)]
 
-        for term in ("sim", "pse", "omr", "cim"):
-            value_kwargs = {"labels": labels, "pairs": pairs}
-            _, analytic = term_value_and_grads(term, feats, ws, bs, theta,
-                                               **value_kwargs)
+        for term in ("sim", "pse", "omr"):
+            _, analytic = objective_term(term, feats, ws, bs, theta, labels,
+                                         pairs)
             h = 1e-4
             for j in range(members):
                 for arr_idx, arr in ((0, ws), (1, bs)):
@@ -197,15 +195,15 @@ def test_criterion_5_gradient_correctness(capfd):
                         plus[j][idx] += h
                         minus[j][idx] -= h
                         if arr_idx == 0:
-                            vp, _ = term_value_and_grads(
-                                term, feats, plus, bs, theta, **value_kwargs)
-                            vm, _ = term_value_and_grads(
-                                term, feats, minus, bs, theta, **value_kwargs)
+                            vp, _ = objective_term(
+                                term, feats, plus, bs, theta, labels, pairs)
+                            vm, _ = objective_term(
+                                term, feats, minus, bs, theta, labels, pairs)
                         else:
-                            vp, _ = term_value_and_grads(
-                                term, feats, ws, plus, theta, **value_kwargs)
-                            vm, _ = term_value_and_grads(
-                                term, feats, ws, minus, theta, **value_kwargs)
+                            vp, _ = objective_term(
+                                term, feats, ws, plus, theta, labels, pairs)
+                            vm, _ = objective_term(
+                                term, feats, ws, minus, theta, labels, pairs)
                         numeric = (vp - vm) / (2 * h)
                         got = analytic[j][arr_idx][idx]
                         scale = max(abs(numeric), abs(got), 1e-8)

@@ -223,13 +223,16 @@ def test_manifest_value_of_wrong_type(zoo, tmp_path, capsys, key, value,
         assert ("#1" if key == "id" else repr(name)) in line
 
 
-def test_manifest_target_size_not_an_integer(zoo, tmp_path, capsys):
+@pytest.mark.parametrize("value", ["ninety", 90.9, "90", True],
+                         ids=["word", "float", "digit_string", "bool"])
+def test_manifest_target_size_not_an_integer(zoo, tmp_path, capsys, value):
     doc = json.loads(zoo.read_text())
-    doc["target"]["n"] = "ninety"
+    doc["target"]["n"] = value
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(doc))
     rc = main(["estimate", str(manifest), "-o", str(tmp_path / "est.csv")])
-    assert "ManifestError" in _single_error_line(capsys, rc)
+    line = _single_error_line(capsys, rc)
+    assert "ManifestError" in line and "target n and C must be integers" in line
 
 
 def _bad_selection(doc: dict, case: str) -> str:
@@ -293,13 +296,23 @@ def test_select_negative_q(zoo, tmp_path, capsys):
     assert "SelectionError: q must be >= 0" in _single_error_line(capsys, rc)
 
 
+SCENARIO_VALUES = {"samples_a_string": ("samples_per_domain", "60"),
+                   "seed_null": ("seed", None), "C_a_float": ("C", 3.0),
+                   "seed_negative": ("seed", -1)}
+
+
 @pytest.mark.parametrize("case,error", [
     ("kernel", "DiversityError"), ("archs", "SynthError"),
     ("grid", "SynthError"), ("labels", "SynthError"),
-    ("scenario", "SynthError")])
+    ("scenario", "SynthError"), ("seed_flag_negative", "SynthError")]
+    + [(case, "SynthError") for case in SCENARIO_VALUES])
 def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
+    doc = json.loads(mini_scenario(seed=22).to_json())
+    if case in SCENARIO_VALUES:
+        key, value = SCENARIO_VALUES[case]
+        doc[key] = value
     scen = tmp_path / "scen.json"
-    scen.write_text(mini_scenario(seed=22).to_json())
+    scen.write_text(json.dumps(doc))
     not_json = tmp_path / "scen.txt"
     not_json.write_text("C = 3\n")
     labels = tmp_path / "labels.txt"
@@ -313,7 +326,8 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
         "labels": ["eval", str(zoo), str(labels), "-o",
                    str(tmp_path / "eval.csv")],
         "scenario": ["build", str(not_json), str(tmp_path / "zoo")],
-    }[case]
+        "seed_flag_negative": build + ["--seed", "-1"],
+    }.get(case, build)
     assert error in _single_error_line(capsys, main(argv))
 
 
@@ -339,14 +353,17 @@ def fuzz_inputs(mini_zoo, tmp_path_factory):
 @given(data=st.data(), value=JSON_VALUES)
 def test_fuzzed_value_ends_in_success_or_one_error_line(mini_zoo, fuzz_inputs,
                                                         data, value):
-    """One value of a valid selection or manifest entry replaced by an
-    arbitrary JSON value: the stage succeeds or prints one error line."""
+    """One value of a valid selection, manifest entry or target descriptor
+    replaced by an arbitrary JSON value: the stage succeeds or prints one
+    error line. Scenario files are not fuzzed: a valid but huge sample
+    count makes build allocate that many rows."""
     work, selection, manifest = fuzz_inputs
     command = data.draw(st.sampled_from(["estimate", "adapt", "eval"]))
     if command == "estimate":
         doc = copy.deepcopy(manifest)
-        index = data.draw(st.integers(0, len(doc["models"]) - 1))
-        container = doc["models"][index]
+        where = data.draw(st.sampled_from(
+            ["target"] + list(range(len(doc["models"])))))
+        container = doc["target"] if where == "target" else doc["models"][where]
     else:
         doc = copy.deepcopy(selection)
         where = data.draw(st.sampled_from(

@@ -4,13 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import make_model
+from conftest import make_model, objective_term
 from zooadapt.ensemble_adapt import (AdaptConfig, AdaptError, EnsembleModel,
                                      RecyclePair, adapt, build_ensemble,
                                      ensemble_forward, ensemble_weights,
-                                     loss_cim, loss_im, loss_omr, loss_pse,
-                                     loss_sim, mine_recycle_pairs, mix_outputs,
-                                     pseudo_labels, term_value_and_grads)
+                                     loss_im, loss_omr, loss_pse, loss_sim,
+                                     mine_recycle_pairs, mix_outputs,
+                                     objective, pseudo_labels)
 from zooadapt.inference import forward
 from zooadapt.kernels import softmax_rows
 
@@ -180,15 +180,13 @@ def test_loss_im_reference_points():
     assert loss_im(collapsed) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_loss_sim_and_cim_composition():
+def test_loss_sim_composition():
     rng = np.random.default_rng(7)
     p1 = rng.dirichlet(np.ones(3), size=6)
     p2 = rng.dirichlet(np.ones(3), size=6)
     theta = np.array([0.25, 0.75])
     assert loss_sim([p1, p2], theta) == pytest.approx(
         0.25 * loss_im(p1) + 0.75 * loss_im(p2), abs=1e-12)
-    assert loss_cim([p1, p2], theta) == pytest.approx(
-        loss_im(0.25 * p1 + 0.75 * p2), abs=1e-12)
 
 
 # --- gradient correctness ----------------------------------------------------------
@@ -213,8 +211,7 @@ def _random_instance(seed, n=6, num_classes=3, members=2):
 def fd_term_grads(term, feats, ws, bs, theta, labels, pairs, h=1e-4):
     """Central finite differences of the term value over every head coord."""
     def value(ws_, bs_):
-        v, _ = term_value_and_grads(term, feats, ws_, bs_, theta,
-                                    labels=labels, pairs=pairs)
+        v, _ = objective_term(term, feats, ws_, bs_, theta, labels, pairs)
         return v
 
     grads = []
@@ -242,12 +239,12 @@ def rel_err(a, b):
     return np.abs(a - b).max() / denom
 
 
-@pytest.mark.parametrize("term", ["sim", "pse", "omr", "cim"])
+@pytest.mark.parametrize("term", ["sim", "pse", "omr"])
 def test_analytic_gradients_match_finite_differences(term):
     for seed in range(5):
         feats, ws, bs, theta, labels, pairs = _random_instance(100 + seed)
-        _, analytic = term_value_and_grads(term, feats, ws, bs, theta,
-                                           labels=labels, pairs=pairs)
+        _, analytic = objective_term(term, feats, ws, bs, theta, labels,
+                                     pairs)
         numeric = fd_term_grads(term, feats, ws, bs, theta, labels, pairs)
         for (ga_w, ga_b), (gn_w, gn_b) in zip(analytic, numeric):
             assert rel_err(ga_w, gn_w) <= 1e-4
@@ -270,16 +267,49 @@ def test_fused_adapt_gradient_equals_term_sum():
     mixture = mix_outputs(probs, e.weights)
     labels = pseudo_labels(mixture)
     pairs = mine_recycle_pairs(["o"], [forward(outlier)], cfg.tau_recycle)
-    _, g_sim = term_value_and_grads("sim", feats, ws, bs, e.weights)
-    _, g_pse = term_value_and_grads("pse", feats, ws, bs, e.weights,
-                                    labels=labels)
-    _, g_omr = term_value_and_grads("omr", feats, ws, bs, e.weights,
-                                    pairs=pairs)
+    assert pairs
+    g_sim, g_pse, g_omr = (
+        objective_term(term, feats, ws, bs, e.weights, labels, pairs)[1]
+        for term in ("sim", "pse", "omr"))
     for j, m in enumerate(e.members):
-        expected_w = (g_sim[j][0] + cfg.gamma1 * g_pse[j][0]
-                      + cfg.gamma2 * g_omr[j][0])
-        recovered_w = (m.weights - adapted.members[j].weights) / cfg.lr
-        np.testing.assert_allclose(recovered_w, expected_w, atol=1e-10)
+        for k, (old, new) in enumerate(((m.weights, adapted.members[j].weights),
+                                        (m.bias, adapted.members[j].bias))):
+            expected = (g_sim[j][k] + cfg.gamma1 * g_pse[j][k]
+                        + cfg.gamma2 * g_omr[j][k])
+            np.testing.assert_allclose((old - new) / cfg.lr, expected,
+                                       atol=1e-10)
+
+
+def test_learnable_weights_gradient_matches_finite_differences():
+    # one epoch, zero momentum: log theta moves by -lr * dL_all/drho, plus
+    # the one constant that renormalising theta adds to every entry
+    e = build_ensemble([make_model("a", seed=8), make_model("b", seed=9),
+                        make_model("c", seed=24)], [0.2, 0.5, -0.1])
+    outlier = _confidence_model("o", [(2, 1, 30.0), (5, 0, 30.0)], n=12)
+    cfg = AdaptConfig(gamma1=0.37, gamma2=0.21, epochs=1, lr=1e-3,
+                      momentum=0.0)
+    adapted, _ = adapt(e, [outlier], cfg, learnable_weights=True)
+    step = (np.log(e.weights) - np.log(adapted.weights)) / cfg.lr
+    recovered = step - step.mean()
+
+    feats = [m.features for m in e.members]
+    probs = [forward(m) for m in e.members]
+    labels = pseudo_labels(mix_outputs(probs, e.weights))
+    pairs = mine_recycle_pairs(["o"], [forward(outlier)], cfg.tau_recycle)
+    assert len(pairs) == 2
+
+    def l_all(rho):
+        theta = np.exp(rho - rho.max())
+        theta /= theta.sum()
+        (l_sim, l_pse, l_omr), _, _ = objective(
+            feats, probs, mix_outputs(probs, theta), theta, labels, pairs,
+            cfg)
+        return l_sim + cfg.gamma1 * l_pse + cfg.gamma2 * l_omr
+
+    rho, h = np.log(e.weights), 1e-5
+    numeric = np.array([(l_all(rho + h * u) - l_all(rho - h * u)) / (2 * h)
+                        for u in np.eye(len(rho))])
+    assert rel_err(recovered, numeric - numeric.mean()) <= 1e-6
 
 
 # --- adapt ---------------------------------------------------------------------------

@@ -9,11 +9,10 @@ from conftest import MINI_ARCHS, MINI_GRID, mini_scenario
 from zooadapt.inference import forward
 from zooadapt.synthzoo import (ArchSpec, DomainTransform, FeatureMap,
                                ScenarioSpec, SynthError, TrainConfig,
-                               accuracy, build_zoo, fit_head,
-                               generate_scenario, read_labels,
+                               accuracy, apply_transform, build_zoo,
+                               fit_head, generate_scenario, read_labels,
                                reference_archs, reference_grid,
-                               reference_scenario, rotation_matrix, spearman,
-                               transformed_anchors)
+                               reference_scenario, rotation_matrix, spearman)
 from zooadapt.tensorio import load_zoo
 
 
@@ -25,8 +24,8 @@ def test_identical_transforms_same_law():
                         domain_transforms=[t, t], samples_per_domain=50,
                         target_transform=t, target_samples=50, seed=0)
     data = generate_scenario(spec)
-    a0 = transformed_anchors(data.anchors, spec.domain_transforms[0])
-    a1 = transformed_anchors(data.anchors, spec.domain_transforms[1])
+    a0 = apply_transform(data.anchors, spec.domain_transforms[0])
+    a1 = apply_transform(data.anchors, spec.domain_transforms[1])
     np.testing.assert_array_equal(a0, a1)
 
 

@@ -4,11 +4,12 @@ adaptation for heterogeneous model zoos on an unlabeled target set."""
 from .diversity import KernelConfig, div_scores, hsic
 from .ensemble_adapt import (AdaptConfig, EnsembleModel, RecyclePair, adapt,
                              build_ensemble, ensemble_forward,
-                             ensemble_weights, loss_im, loss_omr, loss_pse,
-                             loss_sim, mine_recycle_pairs, objective)
+                             ensemble_weights, loss_ce, loss_sim,
+                             mine_recycle_pairs, objective)
 from .errors import ZooAdaptError
 from .inference import (conditional_entropy, entropy, forward, mean_entropy,
-                        predictive_semantics, structural_semantics)
+                        mix_outputs, predictive_semantics,
+                        structural_semantics)
 from .selection import SelectionResult, diversity_set, select
 from .sute import (SuteComponents, SuteConfig, TransferabilityReport,
                    indicator_gd, indicator_ic, indicator_sc, phi,

@@ -16,13 +16,15 @@ import numpy as np
 
 from .diversity import KernelConfig
 from .ensemble_adapt import (AdaptConfig, EnsembleModel, adapt,
-                             ensemble_forward, mix_outputs,
-                             read_adapted_heads, write_adapted_heads)
+                             ensemble_forward, read_adapted_heads,
+                             write_adapted_heads)
 from .errors import ZooAdaptError
+from .inference import mix_outputs
 from .selection import SelectionResult, select
-from .sute import SuteConfig, score_zoo
-from .synthzoo import (ArchSpec, ScenarioSpec, TrainConfig, accuracy,
-                       build_zoo, generate_scenario, read_labels, spearman)
+from .sute import REJECTED_CSV, SuteConfig, score_zoo
+from .synthzoo import (REFERENCE_ARCHS, REFERENCE_GRID, ScenarioSpec,
+                       accuracy, build_zoo, generate_scenario, parse_archs,
+                       parse_grid, read_labels, spearman)
 from .tensorio import load_zoo
 
 
@@ -46,9 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="generate a scenario and train a zoo")
     p.add_argument("scenario", help="scenario spec JSON")
     p.add_argument("out_dir", help="output directory for tensors + manifest")
-    p.add_argument("--archs", default="identity,proj-3,proj-16,rff-64-2.0,rff-64-8.0,poly2",
+    p.add_argument("--archs", default=REFERENCE_ARCHS,
                    help="comma-separated arch tokens")
-    p.add_argument("--grid", default="lr=0.5,epochs=300;lr=0.05,epochs=15",
+    p.add_argument("--grid", default=REFERENCE_GRID,
                    help="semicolon-separated train configs")
     p.add_argument("--seed", type=int, default=None,
                    help="override the scenario seed")
@@ -118,22 +120,18 @@ def cmd_build(args) -> int:
     spec = _parse_scenario(args.scenario)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    archs = [ArchSpec.parse(tok, seed=spec.seed * 1000 + i)
-             for i, tok in enumerate(args.archs.split(","))]
-    configs = [TrainConfig.parse(tok) for tok in args.grid.split(";")]
+    archs = parse_archs(args.archs, spec.seed)
     scenario = generate_scenario(spec)
-    manifest = build_zoo(scenario, archs, configs, args.out_dir)
+    manifest = build_zoo(scenario, archs, parse_grid(args.grid), args.out_dir)
     print(manifest)
     return 0
 
 
 def _sute_config(args, num_classes: int) -> SuteConfig:
-    base = SuteConfig.default(num_classes, lambda1=args.lambda1,
-                              lambda2=args.lambda2)
-    tau_h = args.tau_h if args.tau_h is not None else base.tau_h
-    tau_l = args.tau_l if args.tau_l is not None else base.tau_l
-    return SuteConfig(lambda1=args.lambda1, lambda2=args.lambda2,
-                      tau_h=tau_h, tau_l=tau_l)
+    cfg = SuteConfig.default(num_classes, lambda1=args.lambda1,
+                             lambda2=args.lambda2)
+    return replace(cfg, tau_h=cfg.tau_h if args.tau_h is None else args.tau_h,
+                   tau_l=cfg.tau_l if args.tau_l is None else args.tau_l)
 
 
 def cmd_estimate(args) -> int:
@@ -199,7 +197,8 @@ def cmd_eval(args) -> int:
         out.writerow(header)
         for r in report.ranked():
             row = [r.model_id, r.domain_id, r.arch_tag,
-                   "-inf" if r.components.sute is None else repr(r.components.sute),
+                   REJECTED_CSV if r.components.sute is None
+                   else repr(r.components.sute),
                    repr(r.ane), repr(r.nmi), ranks[r.model_id]]
             if labels is not None:
                 row.append(repr(accs[r.model_id]))

@@ -9,13 +9,15 @@ an epoch and refreshed at every epoch boundary.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ZooAdaptError
-from .inference import forward, mean_entropy
-from .kernels import entropy_rows, softmax_rows
+from .inference import forward, mix_outputs, predictive_semantics
+from .kernels import softmax_rows
+from .sute import indicator_gd, indicator_ic
 from .tensorio import ModelRecord, read_tensor, write_tensor
 
 ADAPTED_SUFFIX = ".adapted"
@@ -61,13 +63,6 @@ def ensemble_forward(e: EnsembleModel) -> np.ndarray:
     return mix_outputs([forward(m) for m in e.members], e.weights)
 
 
-def mix_outputs(probs: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(probs[0])
-    for w, p in zip(weights, probs):
-        out += w * p
-    return out
-
-
 @dataclass(frozen=True)
 class RecyclePair:
     sample_index: int
@@ -105,41 +100,23 @@ def mine_recycle_pairs(model_ids: list[str], probs: list[np.ndarray],
     return pairs
 
 
-def pseudo_labels(mixture: np.ndarray) -> np.ndarray:
-    return np.argmax(mixture, axis=1)
-
-
-def loss_pse(mixture: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of the ensemble against its own argmax labels."""
-    n = mixture.shape[0]
-    picked = mixture[np.arange(n), labels]
-    if np.any(picked <= 0.0):
-        raise AdaptError("L_pse: zero probability at a pseudo-label")
-    return float(-np.log(picked).mean())
-
-
-def loss_omr(mixture: np.ndarray, pairs: list[RecyclePair]) -> float:
-    """Mean cross-entropy over recycled outlier pairs; empty set gives 0."""
-    if not pairs:
+def loss_ce(mixture: np.ndarray, idx: np.ndarray, lab: np.ndarray) -> float:
+    """Mean cross-entropy of the mixture at the (row, label) pairs
+    (idx, lab); no pairs give 0. L_pse takes every row at its
+    pseudo-label, L_omr the recycled pairs. A zero probability gives
+    inf, which the per-epoch guard of adapt reports."""
+    if not len(idx):
         return 0.0
-    idx = np.array([p.sample_index for p in pairs])
-    lab = np.array([p.label for p in pairs])
-    picked = mixture[idx, lab]
-    if np.any(picked <= 0.0):
-        raise AdaptError("L_omr: zero probability at a recycled label")
-    return float(-np.log(picked).mean())
-
-
-def loss_im(p: np.ndarray) -> float:
-    """Information-maximization loss in minimized form: mean per-sample
-    entropy minus entropy of the mean prediction (lower is better)."""
-    mean_row = p.mean(axis=0)
-    return mean_entropy(p) - float(entropy_rows(mean_row[None, :])[0])
+    with np.errstate(divide="ignore"):
+        return float(-np.log(mixture[idx, lab]).mean())
 
 
 def loss_sim(probs: list[np.ndarray], weights: np.ndarray) -> float:
-    """Per-member IM losses, combined with the ensemble weights."""
-    return float(sum(w * loss_im(p) for w, p in zip(weights, probs)))
+    """L_sim = -sum_j theta_j * nmi_j: each member's information-
+    maximization loss is its NMI baseline (certainty plus dispersity)
+    negated, and the ensemble weights combine them."""
+    return float(sum(w * -(indicator_ic(p) + indicator_gd(p))
+                     for w, p in zip(weights, probs)))
 
 
 @dataclass
@@ -152,12 +129,12 @@ class AdaptConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
-        if self.gamma1 < 0 or self.gamma2 < 0:
-            raise AdaptError("gamma weights must be >= 0")
+        if not all(0 <= x < math.inf for x in (self.gamma1, self.gamma2)):
+            raise AdaptError("gamma weights must be finite and >= 0")
         if not 0 < self.tau_recycle < 1:
             raise AdaptError("tau_recycle must be in (0, 1)")
-        if self.epochs < 0 or self.lr < 0:
-            raise AdaptError("epochs and lr must be >= 0")
+        if self.epochs < 0 or not 0 <= self.lr < math.inf:
+            raise AdaptError("epochs must be >= 0 and lr finite and >= 0")
         if not 0 <= self.momentum < 1:
             raise AdaptError("momentum must be in [0, 1)")
 
@@ -176,12 +153,12 @@ def _chain_to_head(d_p: np.ndarray, p: np.ndarray,
     return g_z.T @ features, g_z.sum(axis=0)
 
 
-def _d_ce(mixture: np.ndarray, idx: np.ndarray, lab: np.ndarray,
-          count: int) -> np.ndarray:
+def _d_ce(mixture: np.ndarray, idx: np.ndarray,
+          lab: np.ndarray) -> np.ndarray:
     d = np.zeros_like(mixture)
-    if count:
+    if len(idx):
         with np.errstate(divide="ignore"):
-            d[idx, lab] = -1.0 / (count * mixture[idx, lab])
+            d[idx, lab] = -1.0 / (len(idx) * mixture[idx, lab])
     return d
 
 
@@ -205,15 +182,15 @@ def objective(features: list[np.ndarray], probs: list[np.ndarray],
     loss terms, dL_all/dP_bar of the two cross-entropy terms, and each
     member's head gradient of L_all.
     """
-    l_sim = loss_sim(probs, theta)
-    l_pse = loss_pse(mixture, labels)
-    l_omr = loss_omr(mixture, pairs)
-
-    n = mixture.shape[0]
+    rows = np.arange(mixture.shape[0])
     pair_idx = np.array([p.sample_index for p in pairs], dtype=int)
     pair_lab = np.array([p.label for p in pairs], dtype=int)
-    d_mix = _d_ce(mixture, np.arange(n), labels, n) * cfg.gamma1
-    d_mix += _d_ce(mixture, pair_idx, pair_lab, len(pair_idx)) * cfg.gamma2
+    l_sim = loss_sim(probs, theta)
+    l_pse = loss_ce(mixture, rows, labels)
+    l_omr = loss_ce(mixture, pair_idx, pair_lab)
+
+    d_mix = _d_ce(mixture, rows, labels) * cfg.gamma1
+    d_mix += _d_ce(mixture, pair_idx, pair_lab) * cfg.gamma2
 
     grads = []
     for t, f, p in zip(theta, features, probs):
@@ -268,7 +245,7 @@ def adapt(e: EnsembleModel, outliers: list[ModelRecord], cfg: AdaptConfig,
         mixture = mix_outputs(probs, theta)
 
         # refresh constants: pseudo-labels and recycled outlier pairs
-        labels = pseudo_labels(mixture)
+        labels = predictive_semantics(mixture)
         pairs = mine_recycle_pairs(outlier_ids, outlier_probs, cfg.tau_recycle)
         terms, d_mix, grads = objective(feats, probs, mixture, theta, labels,
                                         pairs, cfg)
@@ -287,7 +264,8 @@ def adapt(e: EnsembleModel, outliers: list[ModelRecord], cfg: AdaptConfig,
 
         if learnable_weights:
             g_theta = np.array([
-                (d_mix * p).sum() + loss_im(p) for p in probs])
+                (d_mix * p).sum() - (indicator_ic(p) + indicator_gd(p))
+                for p in probs])
             # softmax Jacobian: d theta_k / d rho_j = theta_k([k=j] - theta_j)
             g_rho = theta * (g_theta - float(g_theta @ theta))
             vel_rho = cfg.momentum * vel_rho + g_rho

@@ -1,5 +1,6 @@
-"""Per-model basics on the target set: prediction probabilities,
-predictive and structural semantics, and entropy utilities."""
+"""Per-model basics on the target set: prediction probabilities, their
+weighted mixture, predictive and structural semantics, and entropy
+utilities."""
 
 import numpy as np
 
@@ -19,6 +20,14 @@ def forward(m: ModelRecord) -> np.ndarray:
     if not np.isfinite(logits).all():
         raise InferenceError(f"model {m.model_id!r}: non-finite logits")
     return softmax_rows(logits)
+
+
+def mix_outputs(probs: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
+    """Weighted sum of probability matrices, accumulated in member order."""
+    out = np.zeros_like(probs[0])
+    for w, p in zip(weights, probs):
+        out += w * p
+    return out
 
 
 def predictive_semantics(p: np.ndarray) -> np.ndarray:
@@ -86,5 +95,5 @@ def conditional_entropy(structural: np.ndarray, predictive: np.ndarray,
         total = float(row.sum())
         if total == 0.0:
             continue
-        h += (total / n) * float(entropy_rows((row / total)[None, :])[0])
+        h += (total / n) * entropy(row / total)
     return h

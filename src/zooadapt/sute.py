@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ZooAdaptError
-from .inference import (conditional_entropy, entropy_rows, forward,
-                        mean_entropy, predictive_semantics,
+from .inference import (conditional_entropy, entropy, forward, mean_entropy,
+                        mix_outputs, predictive_semantics,
                         structural_semantics)
 from .tensorio import ModelRecord
 
@@ -37,8 +37,8 @@ class SuteConfig:
     tau_l: float = 0.1
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise SuteError("lambda weights must be >= 0")
+        if not all(0 <= x < math.inf for x in (self.lambda1, self.lambda2)):
+            raise SuteError("lambda weights must be finite and >= 0")
         if not self.tau_l < self.tau_h:
             raise SuteError(f"need tau_l < tau_h, got {self.tau_l} >= {self.tau_h}")
 
@@ -106,8 +106,7 @@ def indicator_sc(structural: np.ndarray, predictive: np.ndarray,
 
 def indicator_gd(p: np.ndarray) -> float:
     """Global dispersity: entropy of the column-mean probability vector."""
-    mean_row = np.asarray(p, dtype=np.float64).mean(axis=0)
-    return float(entropy_rows(mean_row[None, :])[0])
+    return entropy(np.asarray(p, dtype=np.float64).mean(axis=0))
 
 
 def phi(gd: float, cfg: SuteConfig) -> float | None:
@@ -161,7 +160,7 @@ def ensemble_components(members: list[ModelScores], weights,
     if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
         raise SuteError("weights must be nonnegative and sum to 1")
     num_classes = members[0].probs.shape[1]
-    mixture = sum(wj * m.probs for wj, m in zip(w, members))
+    mixture = mix_outputs([m.probs for m in members], w)
     pred = predictive_semantics(mixture)
     stu = weighted_vote([m.structural for m in members], w, num_classes)
     return _components(mixture, stu, pred, num_classes, cfg)

@@ -482,12 +482,24 @@ def poisoned_scenario(seed: int = 42) -> ScenarioSpec:
     )
 
 
-def reference_archs(base_seed: int = 0) -> list[ArchSpec]:
-    tokens = ["identity", "proj-3", "proj-16", "rff-64-2.0", "rff-64-8.0", "poly2"]
+REFERENCE_ARCHS = "identity,proj-3,proj-16,rff-64-2.0,rff-64-8.0,poly2"
+REFERENCE_GRID = "lr=0.5,epochs=300;lr=0.05,epochs=15"
+
+
+def parse_archs(tokens: str, base_seed: int) -> list[ArchSpec]:
+    """Comma-separated arch tokens; the i-th map is seeded base_seed * 1000 + i."""
     return [ArchSpec.parse(tok, seed=base_seed * 1000 + i)
-            for i, tok in enumerate(tokens)]
+            for i, tok in enumerate(tokens.split(","))]
+
+
+def parse_grid(tokens: str) -> list[TrainConfig]:
+    """Semicolon-separated train-config tokens."""
+    return [TrainConfig.parse(tok) for tok in tokens.split(";")]
+
+
+def reference_archs(base_seed: int = 0) -> list[ArchSpec]:
+    return parse_archs(REFERENCE_ARCHS, base_seed)
 
 
 def reference_grid() -> list[TrainConfig]:
-    return [TrainConfig(lr=0.5, epochs=300),
-            TrainConfig(lr=0.05, epochs=15)]
+    return parse_grid(REFERENCE_GRID)

@@ -8,7 +8,7 @@ downstream entropy/kernel sum accumulates in 64-bit.
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -109,13 +109,8 @@ class ModelRecord:
     features: np.ndarray
     weights: np.ndarray
     bias: np.ndarray
-    meta: dict = field(default_factory=dict)
     weights_path: Path | None = None
     bias_path: Path | None = None
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
 
     @property
     def num_classes(self) -> int:
@@ -127,16 +122,12 @@ class ModelRecord:
 
 @dataclass
 class TargetBundle:
-    """Unlabeled target set descriptor.
-
-    labels_path points at the evaluation-only label file; nothing in the
-    estimation/selection/adaptation paths receives this object's labels,
-    and load_zoo never opens the file (it may be absent).
-    """
+    """Unlabeled target set descriptor: its size and class count. The
+    manifest's target.labels names the evaluation-only label file;
+    load_zoo ignores it and never opens the file (it may be absent)."""
 
     n: int
     num_classes: int
-    labels_path: str | None = None
 
 
 def save_manifest(path, models: list[dict], target: dict) -> None:
@@ -164,8 +155,7 @@ def load_zoo(manifest_path) -> tuple[list[ModelRecord], TargetBundle]:
     if any(not isinstance(tgt[k], int) or isinstance(tgt[k], bool)
            for k in ("n", "C")):
         raise ManifestError(f"{manifest_path}: target n and C must be integers")
-    target = TargetBundle(n=tgt["n"], num_classes=tgt["C"],
-                          labels_path=tgt.get("labels"))
+    target = TargetBundle(n=tgt["n"], num_classes=tgt["C"])
 
     base = manifest_path.parent
     records: list[ModelRecord] = []
@@ -218,7 +208,6 @@ def load_zoo(manifest_path) -> tuple[list[ModelRecord], TargetBundle]:
             features=feats,
             weights=w,
             bias=b,
-            meta=dict(entry.get("meta", {})),
             weights_path=base / entry["weights"],
             bias_path=base / entry["bias"],
         ))

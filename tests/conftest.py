@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from zooadapt.ensemble_adapt import AdaptConfig, mix_outputs, objective
+from zooadapt.ensemble_adapt import AdaptConfig, objective
+from zooadapt.inference import mix_outputs
 from zooadapt.kernels import softmax_rows
 from zooadapt.synthzoo import (ArchSpec, DomainTransform, ScenarioSpec,
                                TrainConfig, build_zoo, generate_scenario)

@@ -13,8 +13,8 @@ import pytest
 from conftest import make_model, objective_term
 from zooadapt.cli import main as cli_main
 from zooadapt.diversity import hsic
-from zooadapt.ensemble_adapt import RecyclePair, mix_outputs, pseudo_labels
-from zooadapt.inference import forward
+from zooadapt.ensemble_adapt import RecyclePair
+from zooadapt.inference import forward, mix_outputs, predictive_semantics
 from zooadapt.kernels import softmax_rows
 from zooadapt.selection import select
 from zooadapt.sute import SuteConfig, score_zoo, sute_score
@@ -177,7 +177,7 @@ def test_criterion_5_gradient_correctness(capfd):
             bs.append(rng.normal(size=num_classes) * 0.3)
         theta = rng.dirichlet(np.ones(members))
         probs = [softmax_rows(f @ w.T + b) for f, w, b in zip(feats, ws, bs)]
-        labels = pseudo_labels(mix_outputs(probs, theta))
+        labels = predictive_semantics(mix_outputs(probs, theta))
         k = int(rng.integers(1, n))
         pairs = [RecyclePair(int(i), int(rng.integers(num_classes)), "o", 0.99)
                  for i in rng.choice(n, size=k, replace=False)]

@@ -1,7 +1,11 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
+import math
+import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -81,26 +85,86 @@ def test_eval_with_labels_has_accuracy_and_plot(zoo, tmp_path):
     assert "uniform_ensemble_accuracy" in metrics
 
 
+# SHA-256 of every output of test_full_pipeline_byte_identical_reruns,
+# recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64).
+PIPELINE_DIGESTS = {
+    "dom0-identity-lr0.5ep80.bias.ztf.adapted":
+        "2849003eb8c175023650429de51a70868c81af8e16566262e2920da874a6128c",
+    "dom0-identity-lr0.5ep80.weights.ztf.adapted":
+        "c49483356d730f059a0078f9d60add9d681905d148fb88d5277424d21f1d1e1a",
+    "dom1-proj3-lr0.5ep80.bias.ztf.adapted":
+        "f0efba179f4ea52de3dd42c30c1eb95d56ed914f69dd38d18b80ae0ca6b31017",
+    "dom1-proj3-lr0.5ep80.weights.ztf.adapted":
+        "1c9434f135317df3fa09d68f83312c6d84f5cfc8393a68a1cd7daaf67cb7c48d",
+    "est.csv":
+        "791996871b38804bc391863663edf8bc94738a4a67e62d2efd4664d2bfc0ca01",
+    "eval.csv":
+        "c69b5c039edb43e6562070270412f43d92cc78da2bfb2ceda317a51071a0cbf0",
+    "hist.csv":
+        "52477ff0ba8bd09abebc6283c9370e0d90831436905753678095b7009a5f06ed",
+    "hist_lw.csv":
+        "acc2a74536ee3aa48ebdddf1204a0827e149db48a0fe7e9ca93b310a9da44dfa",
+    "learnable/dom0-identity-lr0.5ep80.bias.ztf.adapted":
+        "d01d1051e9f2f50846659988498007a935c177ce2c2bef8057bdf710fdedab5c",
+    "learnable/dom0-identity-lr0.5ep80.weights.ztf.adapted":
+        "4b3574f9db05a80ddab80991f0f7668c44e7247ddad01fa0ef717590f00db3f7",
+    "learnable/dom1-proj3-lr0.5ep80.bias.ztf.adapted":
+        "13dd6ab1e1d208c7d703cc47c196f7e54df99379c9144afe3affda5b899ca7dd",
+    "learnable/dom1-proj3-lr0.5ep80.weights.ztf.adapted":
+        "154c8080a8039254787813305e4499f508394d476a72f6f8ecb549f1e848c083",
+    "sel.json":
+        "808808bfc3f9ed78d1a49b9be36b23be5dbdc554528b81046b5a3b66cbab4378",
+    "sum.csv":
+        "d1ce0910796048ea3f2fbb3b9f716c2ad46ed7fcb17425f7438833e9ec40502a",
+}
+
+
 def test_full_pipeline_byte_identical_reruns(zoo, tmp_path):
+    """Two runs of estimate, select, adapt (with and without
+    --learnable-weights) and eval give the same bytes, and those bytes
+    are the ones PIPELINE_DIGESTS records: the history, selection,
+    estimate, eval and summary CSVs and every .adapted tensor.
+
+    The digests depend on numpy and its BLAS, so another numpy build may
+    need its own. Otherwise they are re-recorded only by a change that
+    states why its output bytes change."""
     labels = zoo.parent / "target_labels.txt"
+    entries = json.loads(zoo.read_text())["models"]
+
+    def adapted(sel, prefix):
+        inliers = json.loads(sel.read_text())["inliers"]
+        names = [e[k] + ".adapted" for e in entries if e["id"] in inliers
+                 for k in ("weights", "bias")]
+        return {prefix + name: (zoo.parent / name).read_bytes()
+                for name in names}
 
     def run(tag):
         d = tmp_path / tag
         d.mkdir()
         est = d / "est.csv"
         sel = d / "sel.json"
+        hist_lw = d / "hist_lw.csv"
         hist = d / "hist.csv"
         ev = d / "eval.csv"
         summ = d / "sum.csv"
         assert main(["estimate", str(zoo), "-o", str(est)]) == 0
         assert main(["select", str(zoo), "-o", str(sel), "--q", "1"]) == 0
+        assert main(["adapt", str(zoo), str(sel), "-o", str(hist_lw),
+                     "--epochs", "5", "--learnable-weights"]) == 0
+        outputs = adapted(sel, "learnable/")
         assert main(["adapt", str(zoo), str(sel), "-o", str(hist),
                      "--epochs", "5"]) == 0
+        outputs.update(adapted(sel, ""))
         assert main(["eval", str(zoo), str(labels), str(sel), "-o", str(ev),
                      "--summary", str(summ), "--adapted"]) == 0
-        return [p.read_bytes() for p in (est, sel, hist, ev, summ)]
+        for p in (est, sel, hist_lw, hist, ev, summ):
+            outputs[p.name] = p.read_bytes()
+        return outputs
 
-    assert run("r1") == run("r2")
+    first = run("r1")
+    assert first == run("r2")
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in first.items()} == PIPELINE_DIGESTS
 
 
 def test_adapt_refuses_labels_flag(zoo, tmp_path, capsys):
@@ -304,7 +368,8 @@ SCENARIO_VALUES = {"samples_a_string": ("samples_per_domain", "60"),
 @pytest.mark.parametrize("case,error", [
     ("kernel", "DiversityError"), ("archs", "SynthError"),
     ("grid", "SynthError"), ("labels", "SynthError"),
-    ("scenario", "SynthError"), ("seed_flag_negative", "SynthError")]
+    ("scenario", "SynthError"), ("seed_flag_negative", "SynthError"),
+    ("lambda1_nan", "SuteError"), ("lr_inf", "AdaptError")]
     + [(case, "SynthError") for case in SCENARIO_VALUES])
 def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
     doc = json.loads(mini_scenario(seed=22).to_json())
@@ -318,17 +383,28 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
     labels = tmp_path / "labels.txt"
     labels.write_text("0\n1\nx\n")
     build = ["build", str(scen), str(tmp_path / "zoo")]
+    sel = tmp_path / "sel.json"
+    if case == "lr_inf":
+        assert main(["select", str(zoo), "-o", str(sel), "--q", "1"]) == 0
+        capsys.readouterr()
+    adapted = {p: p.read_bytes() for p in zoo.parent.glob("*.adapted")}
     argv = {
-        "kernel": ["select", str(zoo), "-o", str(tmp_path / "sel.json"),
-                   "--kernel", "rbf:abc"],
+        "kernel": ["select", str(zoo), "-o", str(sel), "--kernel", "rbf:abc"],
         "archs": build + ["--archs", "proj-x"],
         "grid": build + ["--grid", "lr=0.5,epochs=x"],
         "labels": ["eval", str(zoo), str(labels), "-o",
                    str(tmp_path / "eval.csv")],
         "scenario": ["build", str(not_json), str(tmp_path / "zoo")],
         "seed_flag_negative": build + ["--seed", "-1"],
+        "lambda1_nan": ["estimate", str(zoo), "-o", str(tmp_path / "est.csv"),
+                        "--lambda1", "nan"],
+        "lr_inf": ["adapt", str(zoo), str(sel), "-o", str(tmp_path / "h.csv"),
+                   "--lr", "inf", "--epochs", "1"],
     }.get(case, build)
     assert error in _single_error_line(capsys, main(argv))
+    assert not (tmp_path / "est.csv").exists()
+    assert not (tmp_path / "h.csv").exists()
+    assert {p: p.read_bytes() for p in zoo.parent.glob("*.adapted")} == adapted
 
 
 JSON_VALUES = st.recursive(
@@ -349,17 +425,47 @@ def fuzz_inputs(mini_zoo, tmp_path_factory):
     return work, json.loads(sel.read_text()), _absolute_manifest(mini_zoo)
 
 
+def _corrupt_ztf(raw: bytes, data) -> bytes:
+    """One corruption of a ZTF file: a truncation, one header byte, the
+    rank or one dimension, or a NaN or infinite payload value."""
+    header = 8 + 4 * struct.unpack_from("<I", raw, 4)[0]
+    kind = data.draw(st.sampled_from(["truncate", "header_byte", "rank_or_dim",
+                                      "non_finite"]))
+    if kind == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw) - 1))]
+    out = bytearray(raw)
+    if kind == "header_byte":
+        at = data.draw(st.integers(0, header - 1))
+        out[at] = data.draw(st.integers(0, 255))
+    elif kind == "rank_or_dim":
+        at = data.draw(st.sampled_from(range(4, header, 4)))
+        struct.pack_into("<I", out, at, data.draw(st.integers(0, 2**32 - 1)))
+    else:
+        at = data.draw(st.sampled_from(range(header, len(raw), 4)))
+        value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        struct.pack_into("<f", out, at, value)
+    return bytes(out)
+
+
 @settings(max_examples=50, deadline=None)
 @given(data=st.data(), value=JSON_VALUES)
 def test_fuzzed_value_ends_in_success_or_one_error_line(mini_zoo, fuzz_inputs,
                                                         data, value):
     """One value of a valid selection, manifest entry or target descriptor
-    replaced by an arbitrary JSON value: the stage succeeds or prints one
-    error line. Scenario files are not fuzzed: a valid but huge sample
-    count makes build allocate that many rows."""
+    replaced by an arbitrary JSON value, or one tensor of the manifest
+    replaced by a corrupted copy: the stage succeeds or prints one error
+    line. Scenario files are not fuzzed: a valid but huge sample count
+    makes build allocate that many rows."""
     work, selection, manifest = fuzz_inputs
-    command = data.draw(st.sampled_from(["estimate", "adapt", "eval"]))
-    if command == "estimate":
+    command = data.draw(st.sampled_from(["estimate", "adapt", "eval", "ztf"]))
+    if command == "ztf":
+        doc = copy.deepcopy(manifest)
+        container = data.draw(st.sampled_from(doc["models"]))
+        key = data.draw(st.sampled_from(["features", "weights", "bias"]))
+        bad = work / "bad.ztf"
+        bad.write_bytes(_corrupt_ztf(Path(container[key]).read_bytes(), data))
+        value = str(bad)
+    elif command == "estimate":
         doc = copy.deepcopy(manifest)
         where = data.draw(st.sampled_from(
             ["target"] + list(range(len(doc["models"])))))
@@ -369,10 +475,13 @@ def test_fuzzed_value_ends_in_success_or_one_error_line(mini_zoo, fuzz_inputs,
         where = data.draw(st.sampled_from(
             [None, "sutes"] + [k for k in ("inliers", "outliers") if doc[k]]))
         container = doc if where is None else doc[where]
-    key = data.draw(st.sampled_from(
-        range(len(container)) if isinstance(container, list)
-        else sorted(container)))
+    if command != "ztf":
+        key = data.draw(st.sampled_from(
+            range(len(container)) if isinstance(container, list)
+            else sorted(container)))
     container[key] = value
+    if command == "ztf":
+        command = "estimate"
     path = work / ("manifest.json" if command == "estimate" else "bad.json")
     path.write_text(json.dumps(doc))
 

@@ -8,10 +8,9 @@ from conftest import make_model, objective_term
 from zooadapt.ensemble_adapt import (AdaptConfig, AdaptError, EnsembleModel,
                                      RecyclePair, adapt, build_ensemble,
                                      ensemble_forward, ensemble_weights,
-                                     loss_im, loss_omr, loss_pse, loss_sim,
-                                     mine_recycle_pairs, mix_outputs,
-                                     objective, pseudo_labels)
-from zooadapt.inference import forward
+                                     loss_ce, loss_sim, mine_recycle_pairs,
+                                     objective)
+from zooadapt.inference import forward, mix_outputs, predictive_semantics
 from zooadapt.kernels import softmax_rows
 
 
@@ -145,30 +144,40 @@ def test_empty_outliers_empty_pairs():
 
 # --- losses ---------------------------------------------------------------------
 
+ROWS3 = np.arange(3)
+NO_PAIRS = np.array([], dtype=int)
+
+
 def test_loss_pse_one_hot_and_uniform():
     one_hot = np.eye(4)[np.array([0, 2, 1])]
-    assert loss_pse(one_hot, pseudo_labels(one_hot)) == 0.0
+    assert loss_ce(one_hot, ROWS3, predictive_semantics(one_hot)) == 0.0
     uniform = np.full((5, 4), 0.25)
-    assert loss_pse(uniform, pseudo_labels(uniform)) == pytest.approx(
+    assert loss_ce(uniform, np.arange(5),
+                   predictive_semantics(uniform)) == pytest.approx(
         math.log(4), abs=1e-12)
 
 
 def test_loss_pse_matches_ce_oracle():
     rng = np.random.default_rng(6)
     p = rng.dirichlet(np.ones(3), size=3)
-    labels = pseudo_labels(p)
+    labels = predictive_semantics(p)
     expected = np.mean([-math.log(p[i, labels[i]]) for i in range(3)])
-    assert loss_pse(p, labels) == pytest.approx(expected, abs=1e-12)
+    assert loss_ce(p, ROWS3, labels) == pytest.approx(expected, abs=1e-12)
 
 
 def test_loss_omr_cases():
     p = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1]])
-    assert loss_omr(p, []) == 0.0
+    assert loss_ce(p, NO_PAIRS, NO_PAIRS) == 0.0
     one_hot = np.eye(3)[np.array([2, 0])]
-    assert loss_omr(one_hot, [RecyclePair(0, 2, "m", 0.99)]) == 0.0
-    pairs = [RecyclePair(0, 0, "m", 0.99), RecyclePair(1, 1, "m", 0.99)]
+    assert loss_ce(one_hot, np.array([0]), np.array([2])) == 0.0
     expected = np.mean([-math.log(0.7), -math.log(0.8)])
-    assert loss_omr(p, pairs) == pytest.approx(expected, abs=1e-12)
+    assert loss_ce(p, np.array([0, 1]), np.array([0, 1])) == pytest.approx(
+        expected, abs=1e-12)
+
+
+def loss_im(p):
+    """One member's information-maximization loss, through loss_sim."""
+    return loss_sim([p], np.array([1.0]))
 
 
 def test_loss_im_reference_points():
@@ -185,8 +194,14 @@ def test_loss_sim_composition():
     p1 = rng.dirichlet(np.ones(3), size=6)
     p2 = rng.dirichlet(np.ones(3), size=6)
     theta = np.array([0.25, 0.75])
+
+    def im_oracle(p):
+        mean_row = p.mean(axis=0)
+        return float(-(p * np.log(p)).sum(axis=1).mean()
+                     + (mean_row * np.log(mean_row)).sum())
+
     assert loss_sim([p1, p2], theta) == pytest.approx(
-        0.25 * loss_im(p1) + 0.75 * loss_im(p2), abs=1e-12)
+        0.25 * im_oracle(p1) + 0.75 * im_oracle(p2), abs=1e-12)
 
 
 # --- gradient correctness ----------------------------------------------------------
@@ -202,7 +217,7 @@ def _random_instance(seed, n=6, num_classes=3, members=2):
     theta = rng.dirichlet(np.ones(members))
     probs = [softmax_rows(f @ w.T + b) for f, w, b in zip(feats, ws, bs)]
     mixture = mix_outputs(probs, theta)
-    labels = pseudo_labels(mixture)
+    labels = predictive_semantics(mixture)
     pairs = [RecyclePair(i, int(rng.integers(num_classes)), "o", 0.99)
              for i in rng.choice(n, size=3, replace=False)]
     return feats, ws, bs, theta, labels, pairs
@@ -265,7 +280,7 @@ def test_fused_adapt_gradient_equals_term_sum():
     bs = [m.bias for m in e.members]
     probs = [softmax_rows(f @ w.T + b) for f, w, b in zip(feats, ws, bs)]
     mixture = mix_outputs(probs, e.weights)
-    labels = pseudo_labels(mixture)
+    labels = predictive_semantics(mixture)
     pairs = mine_recycle_pairs(["o"], [forward(outlier)], cfg.tau_recycle)
     assert pairs
     g_sim, g_pse, g_omr = (
@@ -294,7 +309,7 @@ def test_learnable_weights_gradient_matches_finite_differences():
 
     feats = [m.features for m in e.members]
     probs = [forward(m) for m in e.members]
-    labels = pseudo_labels(mix_outputs(probs, e.weights))
+    labels = predictive_semantics(mix_outputs(probs, e.weights))
     pairs = mine_recycle_pairs(["o"], [forward(outlier)], cfg.tau_recycle)
     assert len(pairs) == 2
 
@@ -358,7 +373,7 @@ def test_adapt_matches_fd_descent_oracle():
     for _ in range(cfg.epochs):
         probs = [softmax_rows(f @ w.T + b) for f, w, b in zip(feats, ws, bs)]
         mixture = mix_outputs(probs, theta)
-        labels = pseudo_labels(mixture)
+        labels = predictive_semantics(mixture)
         pairs = mine_recycle_pairs(["o"], [forward(outlier)], cfg.tau_recycle)
         p_idx = np.array([p.sample_index for p in pairs], dtype=int)
         p_lab = np.array([p.label for p in pairs], dtype=int)
@@ -484,3 +499,15 @@ def test_nonfinite_loss_aborts_with_term_name():
     cfg = AdaptConfig(epochs=3, lr=10.0)
     with pytest.raises(AdaptError, match="non-finite loss term L_"):
         adapt(e, [], cfg)
+
+
+def test_zero_mixture_probability_at_recycled_label_aborts():
+    # the sharp inlier puts exactly zero mass on class 1 (exp underflows),
+    # and the outlier confidently recycles class 1 for sample 2
+    inlier = _confidence_model("a", [(i, 0, 1000.0) for i in range(4)])
+    assert forward(inlier)[2, 1] == 0.0
+    outlier = _confidence_model("o", [(2, 1, 30.0)])
+    e = build_ensemble([inlier], [1.0])
+    with pytest.raises(AdaptError,
+                       match="non-finite loss term L_omr at epoch 0"):
+        adapt(e, [outlier], AdaptConfig(epochs=1))

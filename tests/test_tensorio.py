@@ -133,6 +133,5 @@ def test_loader_never_opens_labels_file(tmp_path):
     # loading must still succeed.
     manifest, _ = _write_models(tmp_path, [20, 20], labels="absent.txt")
     assert not (tmp_path / "absent.txt").exists()
-    records, target = load_zoo(manifest)
+    records, _ = load_zoo(manifest)
     assert len(records) == 2
-    assert target.labels_path == "absent.txt"

@@ -1,7 +1,7 @@
 """Transferability scoring, selection, ensembling and classifier-head
 adaptation for heterogeneous model zoos on an unlabeled target set."""
 
-from .diversity import KernelConfig, div_scores, hsic
+from .diversity import KernelConfig, centered_factor, div_scores, hsic
 from .ensemble_adapt import (AdaptConfig, EnsembleModel, RecyclePair, adapt,
                              build_ensemble, ensemble_forward,
                              ensemble_weights, loss_ce, loss_sim,

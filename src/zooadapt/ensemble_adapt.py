@@ -273,6 +273,12 @@ def adapt(e: EnsembleModel, outliers: list[ModelRecord], cfg: AdaptConfig,
             theta = np.exp(rho - rho.max())
             theta = theta / theta.sum()
 
+    # The heads are stored as float32: refuse any that would not round-trip.
+    f32_max = float(np.finfo(np.float32).max)
+    for m, w, b in zip(e.members, heads_w, heads_b):
+        if not ((np.abs(w) <= f32_max).all() and (np.abs(b) <= f32_max).all()):
+            raise AdaptError(f"adapted head of {m.model_id!r} is non-finite "
+                             "or outside the float32 range")
     adapted = [m.with_head(w, b)
                for m, w, b in zip(e.members, heads_w, heads_b)]
     return EnsembleModel(members=adapted, weights=theta), history

@@ -33,7 +33,9 @@ def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     x = _as_f64(x)
     g = x @ x.T
     sq = np.diag(g)
-    d = sq[:, None] + sq[None, :] - 2.0 * g
+    d = sq[:, None] + sq[None, :]
+    g *= 2.0  # exact, and in place: no third n x n temporary
+    d -= g
     np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d, 0.0)
     return d

@@ -155,6 +155,9 @@ def load_zoo(manifest_path) -> tuple[list[ModelRecord], TargetBundle]:
     if any(not isinstance(tgt[k], int) or isinstance(tgt[k], bool)
            for k in ("n", "C")):
         raise ManifestError(f"{manifest_path}: target n and C must be integers")
+    if tgt["n"] < 1 or tgt["C"] < 2:
+        raise ManifestError(f"{manifest_path}: target needs n >= 1 and C >= 2, "
+                            f"got n={tgt['n']}, C={tgt['C']}")
     target = TargetBundle(n=tgt["n"], num_classes=tgt["C"])
 
     base = manifest_path.parent

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from zooadapt.diversity import KernelConfig, centered_factor, hsic
 from zooadapt.ensemble_adapt import AdaptConfig, objective
 from zooadapt.inference import mix_outputs
 from zooadapt.kernels import softmax_rows
@@ -26,6 +27,11 @@ def make_model(model_id="m0", features=None, weights=None, bias=None,
                        features=np.asarray(features, dtype=np.float64),
                        weights=np.asarray(weights, dtype=np.float64),
                        bias=np.asarray(bias, dtype=np.float64))
+
+
+def hsic_p(pa, pb, kc=KernelConfig()):
+    """HSIC between two prediction matrices, through their centered factors."""
+    return hsic(centered_factor(pa, kc), centered_factor(pb, kc), kc)
 
 
 def objective_term(term, feats, ws, bs, theta, labels, pairs):

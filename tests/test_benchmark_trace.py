@@ -8,13 +8,20 @@ import importlib.util
 import types
 from pathlib import Path
 
+import numpy as np
+
 SPANS = Path(__file__).resolve().parents[1] / "pipebench" / "spans.py"
 
 
-def test_every_traced_name_is_a_package_callable():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("pipebench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_name_is_a_package_callable():
+    spans = _load_spans()
     missing = []
     for qual in spans.TRACED:
         module, name = qual.split(".")
@@ -53,3 +60,19 @@ def test_every_zooadapt_name_the_benchmark_uses_exists():
             if not hasattr(importlib.import_module(module), name):
                 missing.append(f"{path.name}: {module}.{name}")
     assert checked and missing == []
+
+
+def test_hsic_probe_reads_factor_arguments():
+    # The traced run's probe on diversity.hsic reads its positional
+    # arguments; a signature change would break only the benchmark.
+    spans = _load_spans()
+    diversity = importlib.import_module("zooadapt.diversity")
+    rng = np.random.default_rng(0)
+    candidates = [rng.dirichlet(np.ones(3), size=12) for _ in range(3)]
+    anchors = [rng.dirichlet(np.ones(3), size=12) for _ in range(2)]
+    tracer = spans.Tracer()
+    with tracer:
+        diversity.div_scores(candidates, anchors)
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["diversity.hsic.calls"] == len(candidates) * len(anchors)
+    assert metrics["diversity.gram_bytes"] == 8 * 12 * 12

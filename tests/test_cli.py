@@ -299,6 +299,18 @@ def test_manifest_target_size_not_an_integer(zoo, tmp_path, capsys, value):
     assert "ManifestError" in line and "target n and C must be integers" in line
 
 
+@pytest.mark.parametrize("command", ["estimate", "select"])
+@pytest.mark.parametrize("classes", [0, 1])
+def test_manifest_target_class_count_below_two(tmp_path, capsys, command,
+                                               classes):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(
+        {"version": 1, "target": {"n": 5, "C": classes}, "models": []}))
+    rc = main([command, str(manifest), "-o", str(tmp_path / "out")])
+    line = _single_error_line(capsys, rc)
+    assert "ManifestError" in line and f"C={classes}" in line
+
+
 def _bad_selection(doc: dict, case: str) -> str:
     if case == "not_json":
         return "{"
@@ -369,7 +381,8 @@ SCENARIO_VALUES = {"samples_a_string": ("samples_per_domain", "60"),
     ("kernel", "DiversityError"), ("archs", "SynthError"),
     ("grid", "SynthError"), ("labels", "SynthError"),
     ("scenario", "SynthError"), ("seed_flag_negative", "SynthError"),
-    ("lambda1_nan", "SuteError"), ("lr_inf", "AdaptError")]
+    ("lambda1_nan", "SuteError"), ("lr_inf", "AdaptError"),
+    ("lr_1e300", "AdaptError")]
     + [(case, "SynthError") for case in SCENARIO_VALUES])
 def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
     doc = json.loads(mini_scenario(seed=22).to_json())
@@ -384,7 +397,7 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
     labels.write_text("0\n1\nx\n")
     build = ["build", str(scen), str(tmp_path / "zoo")]
     sel = tmp_path / "sel.json"
-    if case == "lr_inf":
+    if case in ("lr_inf", "lr_1e300"):
         assert main(["select", str(zoo), "-o", str(sel), "--q", "1"]) == 0
         capsys.readouterr()
     adapted = {p: p.read_bytes() for p in zoo.parent.glob("*.adapted")}
@@ -400,6 +413,8 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
                         "--lambda1", "nan"],
         "lr_inf": ["adapt", str(zoo), str(sel), "-o", str(tmp_path / "h.csv"),
                    "--lr", "inf", "--epochs", "1"],
+        "lr_1e300": ["adapt", str(zoo), str(sel), "-o", str(tmp_path / "h.csv"),
+                     "--lr", "1e300", "--epochs", "1"],
     }.get(case, build)
     assert error in _single_error_line(capsys, main(argv))
     assert not (tmp_path / "est.csv").exists()

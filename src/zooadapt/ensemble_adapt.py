@@ -229,7 +229,7 @@ def adapt(e: EnsembleModel, outliers: list[ModelRecord], cfg: AdaptConfig,
     """
     heads_w = [m.weights.copy() for m in e.members]
     heads_b = [m.bias.copy() for m in e.members]
-    feats = [m.features for m in e.members]
+    feats = [np.asarray(m.features, dtype=np.float64) for m in e.members]
     vel_w = [np.zeros_like(w) for w in heads_w]
     vel_b = [np.zeros_like(b) for b in heads_b]
     theta = e.weights.copy()

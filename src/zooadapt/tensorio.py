@@ -2,8 +2,11 @@
 
 ZTF layout: magic ``ZTF1``, u32-le rank, rank x u32-le dims, then the
 row-major IEEE-754 binary32 little-endian payload. Tensors are float32
-on disk; loaded model matrices are promoted to float64 so every
-downstream entropy/kernel sum accumulates in 64-bit.
+on disk. A loaded model keeps its features float32 as stored, which
+halves the zoo's largest arrays in memory, and promotes its head to
+float64 because adaptation updates it. All arithmetic runs in float64:
+every use of the features promotes them first, so logits, entropies and
+kernel sums accumulate in 64-bit.
 """
 
 import json
@@ -98,9 +101,11 @@ class ModelRecord:
     """One zoo member: target features plus its linear classifier head.
 
     features is n x d_m, weights C x d_m, bias length C; d_m may differ
-    across records, n and C may not. Arrays are float64 in memory and
-    treated as immutable after load. weights_path and bias_path name the
-    head's files when the record was loaded from a manifest.
+    across records, n and C may not. Loaded features stay float32 as
+    stored and the head is float64; all arithmetic on them is float64.
+    Arrays are treated as immutable after load. weights_path and
+    bias_path name the head's files when the record was loaded from a
+    manifest.
     """
 
     model_id: str
@@ -186,8 +191,10 @@ def load_zoo(manifest_path) -> tuple[list[ModelRecord], TargetBundle]:
             p = base / entry[key]
             if not p.is_file():
                 raise ManifestError(f"model {mid!r}: missing file {p}")
-            arrays[key] = read_tensor(p).astype(np.float64)
-        feats, w, b = arrays["features"], arrays["weights"], arrays["bias"]
+            arrays[key] = read_tensor(p)
+        feats = arrays["features"]
+        w = arrays["weights"].astype(np.float64)
+        b = arrays["bias"].astype(np.float64)
         if feats.ndim != 2 or w.ndim != 2 or b.ndim != 1:
             raise ManifestError(f"model {mid!r}: bad tensor ranks")
         if feats.shape[0] != target.n:

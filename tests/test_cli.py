@@ -115,7 +115,7 @@ PIPELINE_DIGESTS = {
     "sel.json":
         "808808bfc3f9ed78d1a49b9be36b23be5dbdc554528b81046b5a3b66cbab4378",
     "sum.csv":
-        "d1ce0910796048ea3f2fbb3b9f716c2ad46ed7fcb17425f7438833e9ec40502a",
+        "b57c07f082f6705dc877aaced2a93a2e25f8d71a9817efb6d6213cf5b836702d",
 }
 
 
@@ -375,6 +375,14 @@ def test_select_negative_q(zoo, tmp_path, capsys):
 SCENARIO_VALUES = {"samples_a_string": ("samples_per_domain", "60"),
                    "seed_null": ("seed", None), "C_a_float": ("C", 3.0),
                    "seed_negative": ("seed", -1)}
+# build flags whose values parse but would train nothing
+BUILD_VALUES = {"epochs_negative": ("--grid", "epochs=-3"),
+                "lr_nan": ("--grid", "lr=nan"),
+                "lr_negative": ("--grid", "lr=-1"),
+                "momentum_above_one": ("--grid", "momentum=1.5"),
+                "l2_inf": ("--grid", "l2=inf"),
+                "rff_bandwidth_zero": ("--archs", "rff-64-0"),
+                "rff_bandwidth_inf": ("--archs", "rff-64-inf")}
 
 
 @pytest.mark.parametrize("case,error", [
@@ -383,7 +391,7 @@ SCENARIO_VALUES = {"samples_a_string": ("samples_per_domain", "60"),
     ("scenario", "SynthError"), ("seed_flag_negative", "SynthError"),
     ("lambda1_nan", "SuteError"), ("lr_inf", "AdaptError"),
     ("lr_1e300", "AdaptError")]
-    + [(case, "SynthError") for case in SCENARIO_VALUES])
+    + [(case, "SynthError") for case in [*SCENARIO_VALUES, *BUILD_VALUES]])
 def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
     doc = json.loads(mini_scenario(seed=22).to_json())
     if case in SCENARIO_VALUES:
@@ -415,8 +423,9 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
                    "--lr", "inf", "--epochs", "1"],
         "lr_1e300": ["adapt", str(zoo), str(sel), "-o", str(tmp_path / "h.csv"),
                      "--lr", "1e300", "--epochs", "1"],
-    }.get(case, build)
+    }.get(case, build + list(BUILD_VALUES.get(case, ())))
     assert error in _single_error_line(capsys, main(argv))
+    assert not (tmp_path / "zoo").exists()
     assert not (tmp_path / "est.csv").exists()
     assert not (tmp_path / "h.csv").exists()
     assert {p: p.read_bytes() for p in zoo.parent.glob("*.adapted")} == adapted

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,7 +13,8 @@ from zooadapt.synthzoo import (ArchSpec, DomainTransform, FeatureMap,
                                accuracy, apply_transform, build_zoo,
                                fit_head, generate_scenario, read_labels,
                                reference_archs, reference_grid,
-                               reference_scenario, rotation_matrix, spearman)
+                               reference_scenario, rotation_matrix, spearman,
+                               student_t_two_sided)
 from zooadapt.tensorio import load_zoo
 
 
@@ -221,6 +223,36 @@ def test_spearman_tie_handling_matches_scipy():
             continue
         assert got.rho == pytest.approx(expected.statistic, abs=1e-12)
         assert got.p_value == pytest.approx(expected.pvalue, abs=1e-9)
+
+
+def test_student_t_tail_matches_mpmath():
+    # two-sided tail I_x(nu/2, 1/2), x = nu/(nu+t^2), at 50 digits
+    nus = sorted({*range(1, 21),
+                  *(int(v) for v in np.geomspace(20, 1000, 40).round())})
+    worst = 0.0
+    with mpmath.workdps(50):
+        for nu in nus:
+            for t in np.geomspace(1e-8, 1e3, 23):
+                t2 = mpmath.mpf(float(t)) ** 2
+                exact = mpmath.betainc(mpmath.mpf(nu) / 2, mpmath.mpf(1) / 2,
+                                       0, nu / (nu + t2), regularized=True)
+                if exact < mpmath.mpf("1e-300"):
+                    continue
+                for sign in (1.0, -1.0):
+                    got = student_t_two_sided(sign * float(t), nu)
+                    worst = max(worst, float(abs(got - exact) / exact))
+    assert worst <= 1e-11
+
+
+def test_student_t_tail_closed_forms():
+    for t in np.geomspace(1e-6, 1e4, 41):
+        t = float(t)
+        assert student_t_two_sided(t, 1) == pytest.approx(
+            1 - 2 * math.atan(t) / math.pi, rel=1e-13)
+        assert student_t_two_sided(t, 2) == pytest.approx(
+            1 - t / math.sqrt(2 + t * t), rel=1e-13)
+    for nu in (1, 2, 7, 1000):
+        assert student_t_two_sided(0.0, nu) == 1.0
 
 
 def test_spearman_monotone_invariance():

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from zooadapt.sute import SuteConfig, sute_score
 from zooadapt.tensorio import (BadMagicError, DimOverflowError, ManifestError,
                                NonFiniteValueError, PayloadLengthError,
                                load_zoo, read_tensor, save_manifest,
@@ -102,7 +108,34 @@ def test_load_zoo_two_models(tmp_path):
     records, target = load_zoo(manifest)
     assert len(records) == 2
     assert target.n == 100 and target.num_classes == 4
-    assert records[0].features.dtype == np.float64
+    assert records[0].features.dtype == np.float32
+    assert records[0].weights.dtype == np.float64
+    assert records[0].bias.dtype == np.float64
+
+
+def test_float32_features_score_like_float64(mini_zoo):
+    records, target = load_zoo(mini_zoo)
+    cfg = SuteConfig.default(target.num_classes)
+    for m in records:
+        got = sute_score(m, cfg)
+        want = sute_score(replace(m, features=m.features.astype(np.float64)),
+                          cfg)
+        assert got.components == want.components
+        assert np.array_equal(got.probs, want.probs)
+        assert np.array_equal(got.structural, want.structural)
+
+
+def test_library_and_cli_import_without_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = ("import sys, zooadapt, zooadapt.cli; "
+            "print(sorted(n for n in sys.modules "
+            "if n == 'scipy' or n.startswith('scipy.')))")
+    child = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True, timeout=60)
+    assert child.stdout.strip() == "[]"
 
 
 def test_load_zoo_target_size_mismatch(tmp_path):

@@ -7,6 +7,7 @@ Each model enters through one centered factor (see centered_factor), and
 every HSIC value is an inner product of two factors.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,8 @@ class KernelConfig:
     def __post_init__(self):
         if self.kind not in ("rbf", "linear"):
             raise DiversityError(f"unknown kernel kind {self.kind!r}")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise DiversityError("fixed bandwidth must be > 0")
+        if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
+            raise DiversityError("fixed bandwidth must be finite and > 0")
 
     @classmethod
     def parse(cls, token: str) -> "KernelConfig":

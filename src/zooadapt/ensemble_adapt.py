@@ -71,33 +71,56 @@ class RecyclePair:
     confidence: float
 
 
+# Outliers per argmax in mine_recycle_pairs: the scan's largest temporary
+# is n x (RECYCLE_BLOCK * C), 256 KB at n=400, C=5, and never a second
+# copy of all outlier probabilities.
+RECYCLE_BLOCK = 16
+
+
 def mine_recycle_pairs(model_ids: list[str], probs: list[np.ndarray],
                        tau: float) -> list[RecyclePair]:
     """Per sample, the single most confident outlier prediction, kept
-    only when its confidence exceeds tau. probs[j] holds the target
-    probabilities of model_ids[j]. Ties on confidence go to the lowest
-    model_id; ties on the class go to the lowest index."""
+    only when its confidence exceeds tau. probs[j] holds the n x C
+    target probabilities of model_ids[j]; they must be finite (a NaN
+    would win its block's argmax and hide the block's other models).
+
+    Ties on confidence go to the lowest model_id; ties on the class go
+    to the lowest index. The outliers are scanned in sorted-id blocks of
+    RECYCLE_BLOCK: one argmax over a block's concatenated columns finds
+    the first maximum in (id rank, class) order, and a block replaces
+    the running best only when strictly more confident, so an earlier
+    block wins ties.
+    """
+    if len(probs) != len(model_ids):
+        raise AdaptError(f"{len(model_ids)} outlier ids but {len(probs)} "
+                         "probability matrices")
     if not model_ids:
         return []
-    n = probs[0].shape[0]
+    shape = probs[0].shape
+    if len(shape) != 2 or any(p.shape != shape for p in probs):
+        raise AdaptError("outlier probabilities must be n x C matrices "
+                         "of one shape")
+    n, c = shape
+    order = sorted(range(len(model_ids)), key=model_ids.__getitem__)
+    rows = np.arange(n)
     best_conf = np.full(n, -1.0)
-    best_label = np.zeros(n, dtype=int)
-    best_model = np.zeros(n, dtype=int)
-    for j in sorted(range(len(model_ids)), key=model_ids.__getitem__):
-        p = probs[j]
-        labels = np.argmax(p, axis=1)
-        confs = p[np.arange(n), labels]
-        better = confs > best_conf  # strict: earlier (lower) id wins ties
+    best_col = np.zeros(n, dtype=np.intp)  # id rank * C + class
+    buf = np.empty((n, min(len(order), RECYCLE_BLOCK) * c))
+    for start in range(0, len(order), RECYCLE_BLOCK):
+        members = [probs[j] for j in order[start:start + RECYCLE_BLOCK]]
+        block = np.concatenate(members, axis=1,
+                               out=buf[:, :len(members) * c])
+        cols = block.argmax(axis=1)
+        confs = block[rows, cols]
+        better = confs > best_conf
         best_conf[better] = confs[better]
-        best_label[better] = labels[better]
-        best_model[better] = j
-    pairs = []
-    for i in range(n):
-        if best_conf[i] > tau:
-            pairs.append(RecyclePair(sample_index=i, label=int(best_label[i]),
-                                     model_id=model_ids[best_model[i]],
-                                     confidence=float(best_conf[i])))
-    return pairs
+        best_col[better] = cols[better] + start * c
+    keep = np.flatnonzero(best_conf > tau)
+    rank, label = np.divmod(best_col[keep], c)
+    ranked_ids = [model_ids[j] for j in order]
+    return list(map(RecyclePair, keep.tolist(), label.tolist(),
+                    map(ranked_ids.__getitem__, rank.tolist()),
+                    best_conf[keep].tolist()))
 
 
 def loss_ce(mixture: np.ndarray, idx: np.ndarray, lab: np.ndarray) -> float:

@@ -336,16 +336,30 @@ def fit_head(x: np.ndarray, y: np.ndarray, num_classes: int,
 # Zoo builder
 # ---------------------------------------------------------------------------
 
+def _model_id(domain: int, arch: ArchSpec, cfg: TrainConfig) -> str:
+    return f"dom{domain}-{arch.tag}-{cfg.tag}"
+
+
 def build_zoo(scenario: ScenarioData, archs: list[ArchSpec],
               configs: list[TrainConfig], out_dir) -> Path:
     """Write tensors, the eval-only label file, and the manifest.
 
     One model per (domain, arch, config) cell. Models whose head fit
-    diverges are excluded with a warning.
+    diverges are excluded with a warning. Cells whose ids collide are
+    refused before anything is written.
     """
+    spec = scenario.spec
+    seen = set()
+    for k in range(spec.num_domains):
+        for arch in archs:
+            for cfg in configs:
+                model_id = _model_id(k, arch, cfg)
+                if model_id in seen:
+                    raise SynthError(f"duplicate model id {model_id!r}: two "
+                                     "archs or train configs share a tag")
+                seen.add(model_id)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec = scenario.spec
 
     labels_name = "target_labels.txt"
     (out / labels_name).write_text(
@@ -359,7 +373,7 @@ def build_zoo(scenario: ScenarioData, archs: list[ArchSpec],
             src = fmap.transform(scenario.domain_x[k])
             tgt = fmap.transform(scenario.target_x)
             for cfg in configs:
-                model_id = f"{domain_id}-{arch.tag}-{cfg.tag}"
+                model_id = _model_id(k, arch, cfg)
                 try:
                     w, b, _ = fit_head(src, scenario.domain_y[k],
                                        spec.num_classes, cfg)

@@ -375,18 +375,25 @@ def test_select_negative_q(zoo, tmp_path, capsys):
 SCENARIO_VALUES = {"samples_a_string": ("samples_per_domain", "60"),
                    "seed_null": ("seed", None), "C_a_float": ("C", 3.0),
                    "seed_negative": ("seed", -1)}
-# build flags whose values parse but would train nothing
+# build flags whose values parse but would train nothing, or would give
+# two models one id
 BUILD_VALUES = {"epochs_negative": ("--grid", "epochs=-3"),
                 "lr_nan": ("--grid", "lr=nan"),
                 "lr_negative": ("--grid", "lr=-1"),
                 "momentum_above_one": ("--grid", "momentum=1.5"),
                 "l2_inf": ("--grid", "l2=inf"),
                 "rff_bandwidth_zero": ("--archs", "rff-64-0"),
-                "rff_bandwidth_inf": ("--archs", "rff-64-inf")}
+                "rff_bandwidth_inf": ("--archs", "rff-64-inf"),
+                "ids_collide_grid": (
+                    "--archs", "identity", "--grid",
+                    "lr=0.5,epochs=20,momentum=0.9;lr=0.5,epochs=20,momentum=0.5"),
+                "ids_collide_archs": ("--archs", "proj-3,proj-3")}
+KERNEL_VALUES = {"kernel": "rbf:abc", "kernel_nan": "rbf:nan",
+                 "kernel_inf": "rbf:inf"}
 
 
 @pytest.mark.parametrize("case,error", [
-    ("kernel", "DiversityError"), ("archs", "SynthError"),
+    *[(case, "DiversityError") for case in KERNEL_VALUES], ("archs", "SynthError"),
     ("grid", "SynthError"), ("labels", "SynthError"),
     ("scenario", "SynthError"), ("seed_flag_negative", "SynthError"),
     ("lambda1_nan", "SuteError"), ("lr_inf", "AdaptError"),
@@ -410,7 +417,8 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
         capsys.readouterr()
     adapted = {p: p.read_bytes() for p in zoo.parent.glob("*.adapted")}
     argv = {
-        "kernel": ["select", str(zoo), "-o", str(sel), "--kernel", "rbf:abc"],
+        **{k: ["select", str(zoo), "-o", str(sel), "--kernel", v]
+           for k, v in KERNEL_VALUES.items()},
         "archs": build + ["--archs", "proj-x"],
         "grid": build + ["--grid", "lr=0.5,epochs=x"],
         "labels": ["eval", str(zoo), str(labels), "-o",

@@ -1,17 +1,22 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
 from conftest import make_model, objective_term
-from zooadapt.ensemble_adapt import (AdaptConfig, AdaptError, EnsembleModel,
-                                     RecyclePair, adapt, build_ensemble,
-                                     ensemble_forward, ensemble_weights,
-                                     loss_ce, loss_sim, mine_recycle_pairs,
-                                     objective)
+from zooadapt.cli import main
+from zooadapt.ensemble_adapt import (RECYCLE_BLOCK, AdaptConfig, AdaptError,
+                                     EnsembleModel, RecyclePair, adapt,
+                                     build_ensemble, ensemble_forward,
+                                     ensemble_weights, loss_ce, loss_sim,
+                                     mine_recycle_pairs, objective)
 from zooadapt.inference import forward, mix_outputs, predictive_semantics
 from zooadapt.kernels import softmax_rows
+from zooadapt.selection import SelectionResult
+from zooadapt.tensorio import load_zoo
 
 
 # --- ensemble weights ---------------------------------------------------------
@@ -140,6 +145,124 @@ def test_recycling_tie_goes_to_lowest_model_id():
 
 def test_empty_outliers_empty_pairs():
     assert mine_recycle_pairs([], [], tau=0.5) == []
+
+
+def loop_mine_recycle_pairs(model_ids, probs, tau):
+    """Reference for the blocked scan: one argmax per model, in sorted-id
+    order, then one Python pass over the samples."""
+    n = probs[0].shape[0]
+    best_conf = np.full(n, -1.0)
+    best_label = np.zeros(n, dtype=int)
+    best_model = np.zeros(n, dtype=int)
+    for j in sorted(range(len(model_ids)), key=model_ids.__getitem__):
+        p = probs[j]
+        labels = np.argmax(p, axis=1)
+        confs = p[np.arange(n), labels]
+        better = confs > best_conf  # strict: earlier (lower) id wins ties
+        best_conf[better] = confs[better]
+        best_label[better] = labels[better]
+        best_model[better] = j
+    pairs = []
+    for i in range(n):
+        if best_conf[i] > tau:
+            pairs.append(RecyclePair(sample_index=i, label=int(best_label[i]),
+                                     model_id=model_ids[best_model[i]],
+                                     confidence=float(best_conf[i])))
+    return pairs
+
+
+def assert_same_pairs(model_ids, probs, tau):
+    pairs = mine_recycle_pairs(model_ids, probs, tau)
+    assert pairs == loop_mine_recycle_pairs(model_ids, probs, tau)
+    for p in pairs:
+        assert (type(p.sample_index), type(p.label), type(p.confidence)) \
+            == (int, int, float)
+    return pairs
+
+
+def _tied_outliers(seed, n, c=5):
+    """3 blocks and a part of outliers with unsorted, non-contiguous ids.
+    Rows come from a four-row palette (one confident, a two-class tie, a
+    weaker one and a uniform row) with shuffled columns, so confidences
+    tie within and across blocks and classes tie within rows. Row 0
+    places equal maxima on the last model of the first block and the
+    first of the second; row 1 (n > 1) on two models inside one block."""
+    rng = np.random.default_rng(seed)
+    m = 3 * RECYCLE_BLOCK + 5
+    ids = [f"o{k:04d}" for k in rng.choice(10_000, size=m, replace=False)]
+    palette = np.array([[0.97] + [0.03 / (c - 1)] * (c - 1),
+                        [0.485, 0.485] + [0.03 / (c - 2)] * (c - 2),
+                        [0.6] + [0.4 / (c - 1)] * (c - 1),
+                        [1.0 / c] * c])
+    probs = [rng.permuted(palette[rng.integers(len(palette), size=n)], axis=1)
+             for _ in ids]
+    ranked = sorted(range(m), key=ids.__getitem__)
+    for j in ranked:
+        probs[j][:2] = palette[3]
+    for rank, label in ((RECYCLE_BLOCK - 1, 2), (RECYCLE_BLOCK, 1)):
+        probs[ranked[rank]][0] = np.roll(palette[0], label)
+    if n > 1:
+        for rank in (3, 5):
+            probs[ranked[rank]][1] = np.roll(palette[1], rank)
+    return ids, probs, ranked
+
+
+@pytest.mark.parametrize("n", [1, 2, 37])
+@pytest.mark.parametrize("seed", range(8))
+def test_blocked_mining_matches_per_model_loop(seed, n):
+    ids, probs, ranked = _tied_outliers(seed, n)
+    for tau in (0.999, 0.95, 0.55, 0.1):
+        pairs = assert_same_pairs(ids, probs, tau)
+        if tau == 0.999:
+            assert pairs == []
+        if tau == 0.1:
+            assert len(pairs) == n
+    first = mine_recycle_pairs(ids, probs, 0.95)
+    # the tie across the block boundary goes to the earlier block
+    assert (first[0].sample_index, first[0].label, first[0].model_id) == \
+        (0, 2, ids[ranked[RECYCLE_BLOCK - 1]])
+    if n > 1:  # a tie inside a block: the lower id, then the lower class
+        p = mine_recycle_pairs(ids, probs, 0.4)[1]
+        assert (p.sample_index, p.label, p.model_id) == (1, 3, ids[ranked[3]])
+
+
+@pytest.mark.parametrize("case", ["shorter", "longer", "shape", "rank"])
+def test_mining_rejects_mismatched_inputs(case):
+    p = np.full((4, 3), 1 / 3)
+    ids, probs = {"shorter": (["a", "b"], [p]),
+                  "longer": (["a"], [p, p]),
+                  "shape": (["a", "b"], [p, p[:3]]),
+                  "rank": (["a"], [p[0]])}[case]
+    with pytest.raises(AdaptError):
+        mine_recycle_pairs(ids, probs, 0.5)
+
+
+def test_blocked_mining_matches_loop_on_large_zoo(tmp_path):
+    """The outliers of the benchmark's large_zoo at seed 42, built and
+    selected as pipebench/harness.py runs the CLI."""
+    wl = _load_workloads().WORKLOADS["large_zoo"]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(wl.scenario(42).to_json())
+    manifest = tmp_path / "zoo" / "manifest.json"
+    sel = tmp_path / "selection.json"
+    assert main(["build", str(scenario), str(manifest.parent)]) == 0
+    assert main(["select", str(manifest), "-o", str(sel), "--q", "2",
+                 "--kernel", wl.kernel]) == 0
+    records, _ = load_zoo(manifest)
+    _, outliers = SelectionResult.from_json(sel.read_text()).inlier_ensemble(records)
+    assert len(outliers) > 3 * RECYCLE_BLOCK
+    ids = [m.model_id for m in outliers]
+    probs = [forward(m) for m in outliers]
+    for tau in (AdaptConfig().tau_recycle, 0.5):
+        assert assert_same_pairs(ids, probs, tau)
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "pipebench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("pipebench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # --- losses ---------------------------------------------------------------------

@@ -23,8 +23,8 @@ from .inference import mix_outputs
 from .selection import SelectionResult, select
 from .sute import REJECTED_CSV, SuteConfig, score_zoo
 from .synthzoo import (REFERENCE_ARCHS, REFERENCE_GRID, ScenarioSpec,
-                       accuracy, build_zoo, generate_scenario, parse_archs,
-                       parse_grid, read_labels, spearman)
+                       SynthError, accuracy, build_zoo, generate_scenario,
+                       parse_archs, parse_grid, read_labels, spearman)
 from .tensorio import load_zoo
 
 
@@ -71,8 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2, help="diversity-set size")
     p.add_argument("--kernel", default="rbf",
                    help="rbf, rbf:<bandwidth>, or linear")
-    p.add_argument("--flip-diversity", action="store_true",
-                   help="pick the most dependent candidates instead")
     p.add_argument("--lambda1", type=float, default=1.0)
     p.add_argument("--lambda2", type=float, default=1.0)
     p.add_argument("--tau-h", type=float, default=None)
@@ -88,8 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-recycle", type=float, default=0.95)
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--learnable-weights", action="store_true",
-                   help="train the member weights too (ablation mode)")
     # Adaptation is label-free by contract; passing a labels file is an error.
     p.add_argument("--labels", default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_adapt)
@@ -101,12 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("selection", nargs="?", default=None,
                    help="selection JSON (optional)")
     p.add_argument("-o", "--out", required=True, help="report CSV path")
-    p.add_argument("--plot", default=None,
-                   help="rank-vs-accuracy pairs CSV (needs labels)")
     p.add_argument("--summary", default=None,
-                   help="summary CSV with correlations and ensemble accuracy")
+                   help="summary CSV with correlations and ensemble accuracy "
+                        "(needs labels)")
     p.add_argument("--adapted", action="store_true",
-                   help="evaluate the .adapted heads written by `adapt`")
+                   help="add the accuracy of the .adapted heads written by "
+                        "`adapt` to the summary (needs --summary and a "
+                        "selection)")
     p.set_defaults(func=cmd_eval)
 
     return parser
@@ -146,8 +143,7 @@ def cmd_estimate(args) -> int:
 def cmd_select(args) -> int:
     records, target = load_zoo(args.manifest)
     cfg = _sute_config(args, target.num_classes)
-    result = select(records, cfg, q=args.q, kc=KernelConfig.parse(args.kernel),
-                    flip_diversity=args.flip_diversity)
+    result = select(records, cfg, q=args.q, kc=KernelConfig.parse(args.kernel))
     result.write_json(args.out)
     print(f"inliers={len(result.inliers)} outliers={len(result.outliers)} "
           f"-> {args.out}")
@@ -164,8 +160,7 @@ def cmd_adapt(args) -> int:
     cfg = AdaptConfig(gamma1=args.gamma1, gamma2=args.gamma2,
                       tau_recycle=args.tau_recycle, epochs=args.epochs,
                       lr=args.lr)
-    adapted, history = adapt(ensemble, outliers, cfg,
-                             learnable_weights=args.learnable_weights)
+    adapted, history = adapt(ensemble, outliers, cfg)
     history.write_csv(args.out)
     write_adapted_heads(adapted)
     print(f"adapted {len(ensemble.members)} heads, history -> {args.out}")
@@ -173,8 +168,16 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.summary and not args.labels:
+        raise ZooAdaptError("eval --summary needs a labels file")
+    if args.adapted and not (args.summary and args.selection):
+        raise ZooAdaptError("eval --adapted needs --summary and a selection")
     records, target = load_zoo(args.manifest)
     labels = read_labels(args.labels) if args.labels else None
+    if labels is not None and np.any((labels < 0)
+                                     | (labels >= target.num_classes)):
+        raise SynthError(f"{args.labels}: labels must be in "
+                         f"[0, {target.num_classes})")
 
     selected = None
     if args.selection:
@@ -204,14 +207,7 @@ def cmd_eval(args) -> int:
                 row.append(repr(accs[r.model_id]))
             out.writerow(row)
 
-    if labels is not None and args.plot:
-        with open(args.plot, "w", newline="") as fh:
-            out = csv.writer(fh, lineterminator="\n")
-            out.writerow(["rank", "accuracy"])
-            for r in report.ranked():
-                out.writerow([ranks[r.model_id], repr(accs[r.model_id])])
-
-    if labels is not None and args.summary:
+    if args.summary:
         _write_summary(args, report, accs, labels, selected)
 
     print(f"evaluated {len(records)} models -> {args.out}")

@@ -201,9 +201,8 @@ def objective(features: list[np.ndarray], probs: list[np.ndarray],
 
     probs[j] is member j's softmax output on features[j], mixture their
     theta-weighted sum; pseudo-labels and recycled pairs are constants.
-    Returns ((l_sim, l_pse, l_omr), d_mix, [(gW, gb), ...]): the three
-    loss terms, dL_all/dP_bar of the two cross-entropy terms, and each
-    member's head gradient of L_all.
+    Returns ((l_sim, l_pse, l_omr), [(gW, gb), ...]): the three loss
+    terms and each member's head gradient of L_all.
     """
     rows = np.arange(mixture.shape[0])
     pair_idx = np.array([p.sample_index for p in pairs], dtype=int)
@@ -219,7 +218,7 @@ def objective(features: list[np.ndarray], probs: list[np.ndarray],
     for t, f, p in zip(theta, features, probs):
         with np.errstate(invalid="ignore"):
             grads.append(_chain_to_head(t * d_mix + t * _d_im(p), p, f))
-    return (l_sim, l_pse, l_omr), d_mix, grads
+    return (l_sim, l_pse, l_omr), grads
 
 
 @dataclass
@@ -240,24 +239,19 @@ class AdaptHistory:
                               repr(r["L_omr"]), repr(r["L_all"])])
 
 
-def adapt(e: EnsembleModel, outliers: list[ModelRecord], cfg: AdaptConfig,
-          learnable_weights: bool = False) -> tuple[EnsembleModel, AdaptHistory]:
+def adapt(e: EnsembleModel, outliers: list[ModelRecord],
+          cfg: AdaptConfig) -> tuple[EnsembleModel, AdaptHistory]:
     """Adapt the member heads to the target set.
 
     Full-batch descent with classic momentum (v <- mu v + g;
-    p <- p - lr v). With learnable_weights=True the member weights are
-    trained too, reparameterized through a softmax so they stay on the
-    simplex (ablation mode; the default keeps score-derived weights
-    frozen). Deterministic given the config.
+    p <- p - lr v). The score-derived member weights stay frozen.
+    Deterministic given the config.
     """
     heads_w = [m.weights.copy() for m in e.members]
     heads_b = [m.bias.copy() for m in e.members]
     feats = [np.asarray(m.features, dtype=np.float64) for m in e.members]
     vel_w = [np.zeros_like(w) for w in heads_w]
     vel_b = [np.zeros_like(b) for b in heads_b]
-    theta = e.weights.copy()
-    rho = np.log(theta)  # softmax-reparameterized weight logits
-    vel_rho = np.zeros_like(rho)
     history = AdaptHistory()
     outlier_ids = [m.model_id for m in outliers]
     outlier_probs = [forward(m) for m in outliers]  # outlier heads stay frozen
@@ -265,13 +259,13 @@ def adapt(e: EnsembleModel, outliers: list[ModelRecord], cfg: AdaptConfig,
     for epoch in range(cfg.epochs):
         probs = [softmax_rows(f @ w.T + b)
                  for f, w, b in zip(feats, heads_w, heads_b)]
-        mixture = mix_outputs(probs, theta)
+        mixture = mix_outputs(probs, e.weights)
 
         # refresh constants: pseudo-labels and recycled outlier pairs
         labels = predictive_semantics(mixture)
         pairs = mine_recycle_pairs(outlier_ids, outlier_probs, cfg.tau_recycle)
-        terms, d_mix, grads = objective(feats, probs, mixture, theta, labels,
-                                        pairs, cfg)
+        terms, grads = objective(feats, probs, mixture, e.weights, labels,
+                                 pairs, cfg)
         for name, value in zip(("L_sim", "L_pse", "L_omr"), terms):
             if not np.isfinite(value):
                 raise AdaptError(f"non-finite loss term {name} at epoch {epoch}")
@@ -285,17 +279,6 @@ def adapt(e: EnsembleModel, outliers: list[ModelRecord], cfg: AdaptConfig,
             heads_w[j] = heads_w[j] - cfg.lr * vel_w[j]
             heads_b[j] = heads_b[j] - cfg.lr * vel_b[j]
 
-        if learnable_weights:
-            g_theta = np.array([
-                (d_mix * p).sum() - (indicator_ic(p) + indicator_gd(p))
-                for p in probs])
-            # softmax Jacobian: d theta_k / d rho_j = theta_k([k=j] - theta_j)
-            g_rho = theta * (g_theta - float(g_theta @ theta))
-            vel_rho = cfg.momentum * vel_rho + g_rho
-            rho = rho - cfg.lr * vel_rho
-            theta = np.exp(rho - rho.max())
-            theta = theta / theta.sum()
-
     # The heads are stored as float32: refuse any that would not round-trip.
     f32_max = float(np.finfo(np.float32).max)
     for m, w, b in zip(e.members, heads_w, heads_b):
@@ -304,7 +287,7 @@ def adapt(e: EnsembleModel, outliers: list[ModelRecord], cfg: AdaptConfig,
                              "or outside the float32 range")
     adapted = [m.with_head(w, b)
                for m, w, b in zip(e.members, heads_w, heads_b)]
-    return EnsembleModel(members=adapted, weights=theta), history
+    return EnsembleModel(members=adapted, weights=e.weights), history
 
 
 def write_adapted_heads(e: EnsembleModel) -> list[str]:

@@ -55,6 +55,12 @@ class SelectionResult:
         for k in ("sutes", "audit"):
             if not isinstance(doc[k], dict):
                 raise SelectionError(f"selection key {k!r} must be an object")
+        seen = set()
+        for mid in doc["inliers"] + doc["outliers"]:
+            if mid in seen:
+                raise SelectionError(
+                    f"model {mid!r} is listed twice in inliers and outliers")
+            seen.add(mid)
         return cls(**{k: doc[k] for k in SELECTION_KEYS})
 
     def inlier_ensemble(self, records: list[ModelRecord]
@@ -127,25 +133,22 @@ def _greedy(views: list[ModelScores],
 
 
 def diversity_set(candidates: list[ModelScores], anchors: list[ModelScores],
-                  q: int = 2, kc: KernelConfig = KernelConfig(),
-                  flip: bool = False) -> list[str]:
+                  q: int = 2, kc: KernelConfig = KernelConfig()) -> list[str]:
     """The q candidates whose predictions depend least on the anchor set
-    (mean HSIC); flip=True selects the most dependent instead."""
+    (mean HSIC); ties go to the lowest model_id."""
     if q < 0:
         raise SelectionError("q must be >= 0")
     if q == 0 or not candidates:
         return []
     scores = div_scores([c.probs for c in candidates],
                         [a.probs for a in anchors], kc)
-    sign = -1.0 if flip else 1.0
     order = sorted(range(len(candidates)),
-                   key=lambda i: (sign * scores[i], candidates[i].model_id))
+                   key=lambda i: (scores[i], candidates[i].model_id))
     return [candidates[i].model_id for i in order[:q]]
 
 
 def select(models: list[ModelRecord], cfg: SuteConfig, q: int = 2,
-           kc: KernelConfig = KernelConfig(),
-           flip_diversity: bool = False) -> SelectionResult:
+           kc: KernelConfig = KernelConfig()) -> SelectionResult:
     """Full selection: greedy transferable set, then diversity set from
     the remaining finite-score models, then the inlier/outlier split."""
     views = score_zoo(models, cfg).rows
@@ -158,7 +161,7 @@ def select(models: list[ModelRecord], cfg: SuteConfig, q: int = 2,
     # reintroduce them.
     pool = [v for v in views
             if v.model_id not in tr_set and not v.components.rejected]
-    div_ids = diversity_set(pool, members, q, kc, flip_diversity)
+    div_ids = diversity_set(pool, members, q, kc)
 
     inliers = tr_ids + div_ids
     inset = set(inliers)

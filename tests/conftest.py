@@ -46,11 +46,11 @@ def objective_term(term, feats, ws, bs, theta, labels, pairs):
         return objective(feats, probs, mixture, theta, labels, pairs,
                          AdaptConfig(gamma1=gamma1, gamma2=gamma2))
 
-    terms, _, base = at(0.0, 0.0)
+    terms, base = at(0.0, 0.0)
     index = ("sim", "pse", "omr").index(term)
     if index == 0:
         return terms[0], base
-    _, _, grads = at(float(index == 1), float(index == 2))
+    _, grads = at(float(index == 1), float(index == 2))
     return terms[index], [(gw - bw, gb - bb)
                           for (gw, gb), (bw, bb) in zip(grads, base)]
 

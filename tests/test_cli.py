@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import shlex
 import struct
 from pathlib import Path
 
@@ -14,7 +15,10 @@ from hypothesis import strategies as st
 from conftest import MINI_ARCHS, MINI_GRID, mini_scenario
 from zooadapt.cli import main
 from zooadapt.synthzoo import (ArchSpec, DomainTransform, ScenarioSpec,
-                               TrainConfig, build_zoo, generate_scenario)
+                               TrainConfig, build_zoo, generate_scenario,
+                               reference_scenario)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -66,19 +70,16 @@ def test_eval_without_labels_has_no_accuracy_columns(zoo, tmp_path):
     assert header[:4] == ["model_id", "domain", "arch", "sute"]
 
 
-def test_eval_with_labels_has_accuracy_and_plot(zoo, tmp_path):
+def test_eval_with_labels_has_accuracy_and_summary(zoo, tmp_path):
     labels = zoo.parent / "target_labels.txt"
     out = tmp_path / "eval.csv"
-    plot = tmp_path / "plot.csv"
     summary = tmp_path / "summary.csv"
     rc = main(["eval", str(zoo), str(labels), "-o", str(out),
-               "--plot", str(plot), "--summary", str(summary)])
+               "--summary", str(summary)])
     assert rc == 0
-    header = out.read_text().splitlines()[0].split(",")
-    assert header[-1] == "accuracy"
-    plot_lines = plot.read_text().splitlines()
-    assert plot_lines[0] == "rank,accuracy"
-    assert len(plot_lines) == 5  # 4 models
+    lines = out.read_text().splitlines()
+    assert lines[0].split(",")[-2:] == ["rank", "accuracy"]
+    assert len(lines) == 5  # 4 models
     metrics = dict(line.split(",") for line in
                    summary.read_text().splitlines()[1:])
     assert "spearman_sute_rho" in metrics
@@ -102,16 +103,6 @@ PIPELINE_DIGESTS = {
         "c69b5c039edb43e6562070270412f43d92cc78da2bfb2ceda317a51071a0cbf0",
     "hist.csv":
         "52477ff0ba8bd09abebc6283c9370e0d90831436905753678095b7009a5f06ed",
-    "hist_lw.csv":
-        "acc2a74536ee3aa48ebdddf1204a0827e149db48a0fe7e9ca93b310a9da44dfa",
-    "learnable/dom0-identity-lr0.5ep80.bias.ztf.adapted":
-        "d01d1051e9f2f50846659988498007a935c177ce2c2bef8057bdf710fdedab5c",
-    "learnable/dom0-identity-lr0.5ep80.weights.ztf.adapted":
-        "4b3574f9db05a80ddab80991f0f7668c44e7247ddad01fa0ef717590f00db3f7",
-    "learnable/dom1-proj3-lr0.5ep80.bias.ztf.adapted":
-        "13dd6ab1e1d208c7d703cc47c196f7e54df99379c9144afe3affda5b899ca7dd",
-    "learnable/dom1-proj3-lr0.5ep80.weights.ztf.adapted":
-        "154c8080a8039254787813305e4499f508394d476a72f6f8ecb549f1e848c083",
     "sel.json":
         "808808bfc3f9ed78d1a49b9be36b23be5dbdc554528b81046b5a3b66cbab4378",
     "sum.csv":
@@ -120,10 +111,9 @@ PIPELINE_DIGESTS = {
 
 
 def test_full_pipeline_byte_identical_reruns(zoo, tmp_path):
-    """Two runs of estimate, select, adapt (with and without
-    --learnable-weights) and eval give the same bytes, and those bytes
-    are the ones PIPELINE_DIGESTS records: the history, selection,
-    estimate, eval and summary CSVs and every .adapted tensor.
+    """Two runs of estimate, select, adapt and eval give the same bytes,
+    and those bytes are the ones PIPELINE_DIGESTS records: the history,
+    selection, estimate, eval and summary CSVs and every .adapted tensor.
 
     The digests depend on numpy and its BLAS, so another numpy build may
     need its own. Otherwise they are re-recorded only by a change that
@@ -131,33 +121,28 @@ def test_full_pipeline_byte_identical_reruns(zoo, tmp_path):
     labels = zoo.parent / "target_labels.txt"
     entries = json.loads(zoo.read_text())["models"]
 
-    def adapted(sel, prefix):
+    def adapted(sel):
         inliers = json.loads(sel.read_text())["inliers"]
         names = [e[k] + ".adapted" for e in entries if e["id"] in inliers
                  for k in ("weights", "bias")]
-        return {prefix + name: (zoo.parent / name).read_bytes()
-                for name in names}
+        return {name: (zoo.parent / name).read_bytes() for name in names}
 
     def run(tag):
         d = tmp_path / tag
         d.mkdir()
         est = d / "est.csv"
         sel = d / "sel.json"
-        hist_lw = d / "hist_lw.csv"
         hist = d / "hist.csv"
         ev = d / "eval.csv"
         summ = d / "sum.csv"
         assert main(["estimate", str(zoo), "-o", str(est)]) == 0
         assert main(["select", str(zoo), "-o", str(sel), "--q", "1"]) == 0
-        assert main(["adapt", str(zoo), str(sel), "-o", str(hist_lw),
-                     "--epochs", "5", "--learnable-weights"]) == 0
-        outputs = adapted(sel, "learnable/")
         assert main(["adapt", str(zoo), str(sel), "-o", str(hist),
                      "--epochs", "5"]) == 0
-        outputs.update(adapted(sel, ""))
+        outputs = adapted(sel)
         assert main(["eval", str(zoo), str(labels), str(sel), "-o", str(ev),
                      "--summary", str(summ), "--adapted"]) == 0
-        for p in (est, sel, hist_lw, hist, ev, summ):
+        for p in (est, sel, hist, ev, summ):
             outputs[p.name] = p.read_bytes()
         return outputs
 
@@ -165,6 +150,27 @@ def test_full_pipeline_byte_identical_reruns(zoo, tmp_path):
     assert first == run("r2")
     assert {name: hashlib.sha256(data).hexdigest()
             for name, data in first.items()} == PIPELINE_DIGESTS
+
+
+def _walkthrough_commands() -> list[list[str]]:
+    """The argv of each `zooadapt` command in README's CLI walkthrough,
+    with backslash continuations joined."""
+    text = README.read_text().split("## CLI walkthrough", 1)[1]
+    block = text.split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("zooadapt ")]
+
+
+def test_readme_walkthrough_runs(tmp_path, monkeypatch):
+    commands = _walkthrough_commands()
+    assert [c[0] for c in commands] == ["build", "estimate", "select",
+                                        "adapt", "eval"]
+    monkeypatch.chdir(tmp_path)
+    # what the walkthrough's python one-liner writes
+    Path("scenario.json").write_text(reference_scenario(42).to_json() + "\n")
+    for argv in commands:
+        assert main(argv) == 0, argv
 
 
 def test_adapt_refuses_labels_flag(zoo, tmp_path, capsys):
@@ -217,18 +223,6 @@ def test_estimate_tau_overrides(zoo, tmp_path):
     rc = main(["estimate", str(zoo), "-o", str(out),
                "--tau-l", "0.0001", "--tau-h", "1.0"])
     assert rc == 0
-
-
-def test_select_flip_diversity_changes_pick(zoo, tmp_path):
-    a = tmp_path / "low.json"
-    b = tmp_path / "high.json"
-    assert main(["select", str(zoo), "-o", str(a), "--q", "1"]) == 0
-    assert main(["select", str(zoo), "-o", str(b), "--q", "1",
-                 "--flip-diversity"]) == 0
-    da = json.loads(a.read_text())
-    db = json.loads(b.read_text())
-    assert da["transferable_set"] == db["transferable_set"]
-    assert da["diversity_set"] != db["diversity_set"]
 
 
 def _single_error_line(capsys, rc) -> str:
@@ -337,6 +331,12 @@ def _bad_selection(doc: dict, case: str) -> str:
         doc["sutes"] = []
     elif case == "audit_a_string":
         doc["audit"] = "none"
+    elif case == "inlier_twice":
+        doc["inliers"].append(doc["inliers"][0])
+    elif case == "inlier_also_outlier":
+        doc["outliers"].append(doc["inliers"][0])
+    elif case == "outlier_twice":
+        doc["outliers"].append(doc["outliers"][0])
     return json.dumps(doc)
 
 
@@ -349,7 +349,8 @@ def _bad_selection(doc: dict, case: str) -> str:
                                   "inlier_score_too_large",
                                   "inliers_a_string", "outliers_null",
                                   "id_not_a_string", "sutes_a_list",
-                                  "audit_a_string"])
+                                  "audit_a_string", "inlier_twice",
+                                  "inlier_also_outlier", "outlier_twice"])
 def test_bad_selection_json(zoo, tmp_path, capsys, command, case):
     good = tmp_path / "sel.json"
     assert main(["select", str(zoo), "-o", str(good), "--q", "1"]) == 0
@@ -370,6 +371,39 @@ def test_select_negative_q(zoo, tmp_path, capsys):
     rc = main(["select", str(zoo), "-o", str(tmp_path / "sel.json"),
                "--q", "-1"])
     assert "SelectionError: q must be >= 0" in _single_error_line(capsys, rc)
+
+
+@pytest.mark.parametrize("label", ["3", "9", "-3"])
+def test_eval_refuses_label_outside_class_range(zoo, tmp_path, capsys, label):
+    lines = (zoo.parent / "target_labels.txt").read_text().split()
+    lines[len(lines) // 2] = label
+    labels = tmp_path / "labels.txt"
+    labels.write_text("\n".join(lines) + "\n")
+    out, summary = tmp_path / "eval.csv", tmp_path / "sum.csv"
+    rc = main(["eval", str(zoo), str(labels), "-o", str(out),
+               "--summary", str(summary)])
+    assert "labels must be in [0, 3)" in _single_error_line(capsys, rc)
+    assert not out.exists() and not summary.exists()
+
+
+@pytest.mark.parametrize("case", ["summary_without_labels",
+                                  "adapted_without_summary",
+                                  "adapted_without_selection"])
+def test_eval_refuses_flags_that_write_nothing(zoo, tmp_path, capsys, case):
+    sel = tmp_path / "sel.json"
+    assert main(["select", str(zoo), "-o", str(sel), "--q", "1"]) == 0
+    capsys.readouterr()
+    labels = str(zoo.parent / "target_labels.txt")
+    out, summary = tmp_path / "eval.csv", tmp_path / "sum.csv"
+    argv = {
+        "summary_without_labels": ["--summary", str(summary)],
+        "adapted_without_summary": [labels, str(sel), "--adapted"],
+        "adapted_without_selection": [labels, "--summary", str(summary),
+                                      "--adapted"],
+    }[case]
+    rc = main(["eval", str(zoo)] + argv + ["-o", str(out)])
+    assert "ZooAdaptError: eval --" in _single_error_line(capsys, rc)
+    assert not out.exists() and not summary.exists()
 
 
 SCENARIO_VALUES = {"samples_a_string": ("samples_per_domain", "60"),

@@ -12,7 +12,7 @@ from zooadapt.ensemble_adapt import (RECYCLE_BLOCK, AdaptConfig, AdaptError,
                                      EnsembleModel, RecyclePair, adapt,
                                      build_ensemble, ensemble_forward,
                                      ensemble_weights, loss_ce, loss_sim,
-                                     mine_recycle_pairs, objective)
+                                     mine_recycle_pairs)
 from zooadapt.inference import forward, mix_outputs, predictive_semantics
 from zooadapt.kernels import softmax_rows
 from zooadapt.selection import SelectionResult
@@ -418,38 +418,6 @@ def test_fused_adapt_gradient_equals_term_sum():
                                        atol=1e-10)
 
 
-def test_learnable_weights_gradient_matches_finite_differences():
-    # one epoch, zero momentum: log theta moves by -lr * dL_all/drho, plus
-    # the one constant that renormalising theta adds to every entry
-    e = build_ensemble([make_model("a", seed=8), make_model("b", seed=9),
-                        make_model("c", seed=24)], [0.2, 0.5, -0.1])
-    outlier = _confidence_model("o", [(2, 1, 30.0), (5, 0, 30.0)], n=12)
-    cfg = AdaptConfig(gamma1=0.37, gamma2=0.21, epochs=1, lr=1e-3,
-                      momentum=0.0)
-    adapted, _ = adapt(e, [outlier], cfg, learnable_weights=True)
-    step = (np.log(e.weights) - np.log(adapted.weights)) / cfg.lr
-    recovered = step - step.mean()
-
-    feats = [m.features for m in e.members]
-    probs = [forward(m) for m in e.members]
-    labels = predictive_semantics(mix_outputs(probs, e.weights))
-    pairs = mine_recycle_pairs(["o"], [forward(outlier)], cfg.tau_recycle)
-    assert len(pairs) == 2
-
-    def l_all(rho):
-        theta = np.exp(rho - rho.max())
-        theta /= theta.sum()
-        (l_sim, l_pse, l_omr), _, _ = objective(
-            feats, probs, mix_outputs(probs, theta), theta, labels, pairs,
-            cfg)
-        return l_sim + cfg.gamma1 * l_pse + cfg.gamma2 * l_omr
-
-    rho, h = np.log(e.weights), 1e-5
-    numeric = np.array([(l_all(rho + h * u) - l_all(rho - h * u)) / (2 * h)
-                        for u in np.eye(len(rho))])
-    assert rel_err(recovered, numeric - numeric.mean()) <= 1e-6
-
-
 # --- adapt ---------------------------------------------------------------------------
 
 def test_stationary_point_unchanged():
@@ -540,16 +508,6 @@ def test_adapt_matches_fd_descent_oracle():
 
     for lib_row, oracle_val in zip(lib_history.rows, trace):
         assert lib_row["L_all"] == pytest.approx(oracle_val, abs=1e-5)
-
-
-def test_adapt_learnable_weights_stay_on_simplex():
-    e = build_ensemble([make_model("a", seed=17), make_model("b", seed=18)],
-                       [0.9, 0.1])
-    cfg = AdaptConfig(epochs=5, lr=0.1)
-    adapted, _ = adapt(e, [], cfg, learnable_weights=True)
-    assert adapted.weights.sum() == pytest.approx(1.0, abs=1e-9)
-    assert (adapted.weights > 0).all()
-    assert not np.allclose(adapted.weights, e.weights)  # they did move
 
 
 def test_adapt_history_csv(tmp_path):

@@ -161,18 +161,6 @@ def test_diversity_matches_div_scores_oracle():
     assert got == expected
 
 
-def test_diversity_flip_selects_most_dependent():
-    cands = [make_model(f"c{i}", seed=120 + i, n=16) for i in range(3)]
-    anchors = [make_model("a0", seed=125, n=16)]
-    kc = KernelConfig(kind="linear")
-    low = diversity_set(views(cands), views(anchors), q=1, kc=kc)
-    high = diversity_set(views(cands), views(anchors), q=1, kc=kc, flip=True)
-    scores = div_scores([forward(m) for m in cands],
-                        [forward(m) for m in anchors], kc)
-    assert low == [cands[int(np.argmin(scores))].model_id]
-    assert high == [cands[int(np.argmax(scores))].model_id]
-
-
 # --- full selection ------------------------------------------------------------------
 
 def test_select_single_finite_model_q0():

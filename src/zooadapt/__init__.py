@@ -7,6 +7,7 @@ from .ensemble_adapt import (AdaptConfig, EnsembleModel, RecyclePair, adapt,
                              ensemble_weights, loss_ce, loss_sim,
                              mine_recycle_pairs, objective)
 from .errors import ZooAdaptError
+from .evaluate import accuracy, read_labels, spearman, summary
 from .inference import (conditional_entropy, entropy, forward, mean_entropy,
                         mix_outputs, predictive_semantics,
                         structural_semantics)
@@ -15,7 +16,7 @@ from .sute import (SuteComponents, SuteConfig, TransferabilityReport,
                    indicator_gd, indicator_ic, indicator_sc, phi,
                    score_zoo, sute_score)
 from .synthzoo import (ArchSpec, DomainTransform, ScenarioSpec, TrainConfig,
-                       accuracy, build_zoo, generate_scenario, spearman)
+                       build_zoo, generate_scenario)
 from .tensorio import (ModelRecord, TargetBundle, load_zoo, read_tensor,
                        write_tensor)
 

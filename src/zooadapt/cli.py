@@ -7,24 +7,20 @@ seeded, so reruns with identical inputs produce byte-identical outputs.
 """
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .diversity import KernelConfig
 from .ensemble_adapt import (AdaptConfig, EnsembleModel, adapt,
-                             ensemble_forward, read_adapted_heads,
-                             write_adapted_heads)
+                             read_adapted_heads, write_adapted_heads)
 from .errors import ZooAdaptError
-from .inference import mix_outputs
+from .evaluate import (accuracy, read_labels, summary, write_eval_csv,
+                       write_summary)
 from .selection import SelectionResult, select
-from .sute import REJECTED_CSV, SuteConfig, score_zoo
+from .sute import SuteConfig, score_zoo
 from .synthzoo import (REFERENCE_ARCHS, REFERENCE_GRID, ScenarioSpec,
-                       SynthError, accuracy, build_zoo, generate_scenario,
-                       parse_archs, parse_grid, read_labels, spearman)
+                       build_zoo, generate_scenario, parse_archs, parse_grid)
 from .tensorio import load_zoo
 
 
@@ -33,11 +29,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ZooAdaptError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
     except FileNotFoundError as e:
         print(f"error: missing file: {e.filename}", file=sys.stderr)
+        return 1
+    except (ZooAdaptError, OSError, UnicodeDecodeError) as e:
+        # OSError: a directory given as a file; UnicodeDecodeError: not UTF-8
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 
 
@@ -109,12 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_scenario(path) -> ScenarioSpec:
-    return ScenarioSpec.from_json(Path(path).read_text())
-
-
 def cmd_build(args) -> int:
-    spec = _parse_scenario(args.scenario)
+    spec = ScenarioSpec.from_json(Path(args.scenario).read_text())
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     archs = parse_archs(args.archs, spec.seed)
@@ -173,81 +166,26 @@ def cmd_eval(args) -> int:
     if args.adapted and not (args.summary and args.selection):
         raise ZooAdaptError("eval --adapted needs --summary and a selection")
     records, target = load_zoo(args.manifest)
-    labels = read_labels(args.labels) if args.labels else None
-    if labels is not None and np.any((labels < 0)
-                                     | (labels >= target.num_classes)):
-        raise SynthError(f"{args.labels}: labels must be in "
-                         f"[0, {target.num_classes})")
-
-    selected = None
+    labels = (read_labels(args.labels, target.num_classes)
+              if args.labels else None)
+    selected = adapted = None
     if args.selection:
         sel = SelectionResult.from_json(Path(args.selection).read_text())
         selected, _ = sel.inlier_ensemble(records)
+    if args.adapted:
+        adapted = EnsembleModel(members=read_adapted_heads(selected.members),
+                                weights=selected.weights)
 
-    cfg = SuteConfig.default(target.num_classes)
-    report = score_zoo(records, cfg)
-    ranks = report.rank_of()
-
-    accs = {}
-    if labels is not None:
-        accs = {r.model_id: accuracy(r.probs, labels) for r in report.rows}
-
-    header = ["model_id", "domain", "arch", "sute", "ane", "nmi", "rank"]
-    if labels is not None:
-        header.append("accuracy")
-    with open(args.out, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(header)
-        for r in report.ranked():
-            row = [r.model_id, r.domain_id, r.arch_tag,
-                   REJECTED_CSV if r.components.sute is None
-                   else repr(r.components.sute),
-                   repr(r.ane), repr(r.nmi), ranks[r.model_id]]
-            if labels is not None:
-                row.append(repr(accs[r.model_id]))
-            out.writerow(row)
-
+    report = score_zoo(records, SuteConfig.default(target.num_classes))
+    accs = (None if labels is None else
+            {r.model_id: accuracy(r.probs, labels) for r in report.rows})
+    if args.summary:  # every summary error comes before either file opens
+        rows = summary(report, accs, labels, selected, adapted)
+    write_eval_csv(args.out, report, accs)
     if args.summary:
-        _write_summary(args, report, accs, labels, selected)
-
+        write_summary(args.summary, rows)
     print(f"evaluated {len(records)} models -> {args.out}")
     return 0
-
-
-def _write_summary(args, report, accs, labels, selected) -> None:
-    ids = [r.model_id for r in report.rows]
-    acc = np.array([accs[i] for i in ids])
-    sute_vals = np.array([
-        -np.inf if r.components.sute is None else r.components.sute
-        for r in report.rows])
-    ane_vals = np.array([r.ane for r in report.rows])
-    nmi_vals = np.array([r.nmi for r in report.rows])
-
-    rows = []
-    for name, vals in (("sute", sute_vals), ("ane", ane_vals), ("nmi", nmi_vals)):
-        res = spearman(vals, acc)
-        rows.append((f"spearman_{name}_rho", res.rho))
-        rows.append((f"spearman_{name}_p", res.p_value))
-    rows.append(("best_single_accuracy", float(acc.max())))
-
-    uniform = mix_outputs([r.probs for r in report.rows],
-                          np.full(len(ids), 1.0 / len(ids)))
-    rows.append(("uniform_ensemble_accuracy", accuracy(uniform, labels)))
-
-    if selected is not None:
-        rows.append(("selected_ensemble_accuracy",
-                     accuracy(ensemble_forward(selected), labels)))
-        if args.adapted:
-            adapted = EnsembleModel(members=read_adapted_heads(selected.members),
-                                    weights=selected.weights)
-            rows.append(("adapted_ensemble_accuracy",
-                         accuracy(ensemble_forward(adapted), labels)))
-
-    with open(args.summary, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["metric", "value"])
-        for name, value in rows:
-            out.writerow([name, repr(float(value))])
 
 
 if __name__ == "__main__":

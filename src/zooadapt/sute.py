@@ -188,23 +188,19 @@ class TransferabilityReport:
             return (0, -s, r.model_id) if s is not None else (1, 0.0, r.model_id)
         return sorted(self.rows, key=key)
 
-    def rank_of(self) -> dict[str, int]:
-        return {r.model_id: i + 1 for i, r in enumerate(self.ranked())}
-
     def write_csv(self, path) -> None:
-        ranks = self.rank_of()
         with open(path, "w", newline="") as fh:
             out = csv.writer(fh, lineterminator="\n")
             out.writerow(["model_id", "domain", "arch", "ic", "sc", "gd",
                           "phi_gd", "sute", "ane", "nmi", "rank"])
-            for r in self.ranked():
+            for rank, r in enumerate(self.ranked(), 1):
                 c = r.components
                 out.writerow([
                     r.model_id, r.domain_id, r.arch_tag,
                     repr(c.ic), repr(c.sc), repr(c.gd),
                     REJECTED_CSV if c.phi_gd is None else repr(c.phi_gd),
                     REJECTED_CSV if c.sute is None else repr(c.sute),
-                    repr(r.ane), repr(r.nmi), ranks[r.model_id],
+                    repr(r.ane), repr(r.nmi), rank,
                 ])
 
 

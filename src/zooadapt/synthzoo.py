@@ -3,8 +3,8 @@ under rigid-transform shift, frozen randomized feature maps standing in
 for distinct architectures, and a zoo builder that trains one linear
 head per (domain, arch, config) cell.
 
-Evaluation helpers (accuracy, rank correlation) live here too; they are
-the only code in the package that ever touches target labels.
+The builder writes the target labels to their own file and never reads
+them back; evaluate.py is the only module that does.
 """
 
 import json
@@ -13,7 +13,6 @@ import sys
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -401,121 +400,6 @@ def build_zoo(scenario: ScenarioData, archs: list[ArchSpec],
                   {"n": spec.target_samples, "C": spec.num_classes,
                    "labels": labels_name})
     return manifest
-
-
-def read_labels(path) -> np.ndarray:
-    tokens = Path(path).read_text().split()
-    try:
-        return np.array([int(tok) for tok in tokens])
-    except ValueError as e:
-        raise SynthError(f"{path}: labels must be integers ({e})")
-
-
-# ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
-
-def accuracy(p: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of rows whose argmax matches the label."""
-    labels = np.asarray(labels)
-    if p.shape[0] != labels.shape[0]:
-        raise SynthError("probability matrix and labels disagree on n")
-    return float((np.argmax(p, axis=1) == labels).mean())
-
-
-class SpearmanResult(NamedTuple):
-    rho: float
-    p_value: float
-    degenerate: bool = False
-
-
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
-    sx = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
-def spearman(x, y) -> SpearmanResult:
-    """Rank correlation with average ranks for ties, and the two-sided
-    p-value of the Student-t approximation t = rho*sqrt((n-2)/(1-rho^2)).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise SynthError("inputs must have equal length")
-    n = x.shape[0]
-    if n < 3:
-        raise SynthError("need at least 3 points")
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
-    dx = rx - rx.mean()
-    dy = ry - ry.mean()
-    vx = float(dx @ dx)
-    vy = float(dy @ dy)
-    if vx == 0.0 or vy == 0.0:
-        return SpearmanResult(rho=math.nan, p_value=math.nan, degenerate=True)
-    rho = float(dx @ dy) / math.sqrt(vx * vy)
-    if 1.0 - rho * rho <= 0.0:
-        return SpearmanResult(rho=rho, p_value=0.0)
-    t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    return SpearmanResult(rho=rho, p_value=student_t_two_sided(t, n - 2))
-
-
-def student_t_two_sided(t: float, nu: int) -> float:
-    """P(|T| >= |t|) for Student's t with nu degrees of freedom,
-    I_x(nu/2, 1/2) at x = nu/(nu+t^2). 1-x is formed as t^2/(nu+t^2),
-    not by subtraction, so the tail keeps full precision at small |t|.
-    The relative error stays below 1e-11 up to nu = 1000; beyond, the
-    cancellation between the lgamma terms grows it roughly in proportion
-    to nu (2e-11 at nu = 1e4).
-    """
-    t2 = t * t
-    return _betainc(0.5 * nu, 0.5, nu / (nu + t2), t2 / (nu + t2))
-
-
-def _betainc(a: float, b: float, x: float, y: float) -> float:
-    """Regularized incomplete beta I_x(a, b), given x and y = 1 - x.
-
-    The continued fraction converges fast below x = (a+1)/(a+b+2);
-    above it, I_x(a, b) = 1 - I_y(b, a) is evaluated instead.
-    """
-    if x == 0.0 or y == 0.0:
-        return x  # I_0 = 0 and I_1 = 1
-    front = math.exp(a * math.log(x) + b * math.log(y) + math.lgamma(a + b)
-                     - math.lgamma(a) - math.lgamma(b))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, y) / b
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction of I_x(a, b), by the modified Lentz method."""
-    tiny = 1e-300
-    c = 1.0
-    d = 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > tiny else tiny)
-    h = d
-    for m in range(1, 1000):  # converges in O(sqrt(max(a, b))) steps
-        # even step m(b-m)x / ((a+2m-1)(a+2m)), then the odd step
-        for aa in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
-                   -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
-            d = 1.0 + aa * d
-            d = 1.0 / (d if abs(d) > tiny else tiny)
-            c = 1.0 + aa / c
-            c = c if abs(c) > tiny else tiny
-            delta = c * d
-            h *= delta
-        if abs(delta - 1.0) < sys.float_info.epsilon:
-            break
-    return h
 
 
 # ---------------------------------------------------------------------------

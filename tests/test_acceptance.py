@@ -17,10 +17,10 @@ from zooadapt.inference import forward, mix_outputs, predictive_semantics
 from zooadapt.kernels import softmax_rows
 from zooadapt.selection import select
 from zooadapt.sute import SuteConfig, score_zoo, sute_score
-from zooadapt.synthzoo import (accuracy, build_zoo, generate_scenario,
-                               poisoned_scenario, read_labels,
-                               reference_archs, reference_grid,
-                               reference_scenario, spearman)
+from zooadapt.evaluate import accuracy, read_labels, spearman
+from zooadapt.synthzoo import (build_zoo, generate_scenario,
+                               poisoned_scenario, reference_archs,
+                               reference_grid, reference_scenario)
 from zooadapt.tensorio import load_zoo
 
 def report(capfd, num: int, desc: str, ok: bool) -> None:
@@ -47,7 +47,7 @@ def test_criterion_1_sute_ranking_quality(work, capfd):
     t0 = time.perf_counter()
     manifest, labels_path = _build_reference(work, 42)
     records, target = load_zoo(manifest)
-    labels = read_labels(labels_path)
+    labels = read_labels(labels_path, target.num_classes)
     accs = np.array([accuracy(forward(m), labels) for m in records])
 
     report_rows = score_zoo(records, SuteConfig.default(target.num_classes)).rows
@@ -81,7 +81,7 @@ def test_criterion_2_selection_ensemble(work, capfd):
     t0 = time.perf_counter()
     manifest, labels_path = _build_reference(work, 42)
     records, target = load_zoo(manifest)
-    labels = read_labels(labels_path)
+    labels = read_labels(labels_path, target.num_classes)
     cfg = SuteConfig.default(target.num_classes)
     sel = select(records, cfg, q=2)
     sel_acc = _selected_ensemble_accuracy(records, sel, labels)
@@ -92,7 +92,7 @@ def test_criterion_2_selection_ensemble(work, capfd):
         build_zoo(generate_scenario(poisoned_scenario(42)),
                   reference_archs(), reference_grid(), pz)
     precords, ptarget = load_zoo(pz / "manifest.json")
-    plabels = read_labels(pz / "target_labels.txt")
+    plabels = read_labels(pz / "target_labels.txt", ptarget.num_classes)
     paccs = np.array([accuracy(forward(m), plabels) for m in precords])
     near_chance = (paccs <= 1.0 / ptarget.num_classes + 0.05).mean()
     psel = select(precords, SuteConfig.default(ptarget.num_classes), q=2)

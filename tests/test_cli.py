@@ -6,6 +6,7 @@ import json
 import math
 import shlex
 import struct
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import MINI_ARCHS, MINI_GRID, mini_scenario
 from zooadapt.cli import main
+from zooadapt.inference import forward
 from zooadapt.synthzoo import (ArchSpec, DomainTransform, ScenarioSpec,
                                TrainConfig, build_zoo, generate_scenario,
                                reference_scenario)
@@ -406,6 +408,53 @@ def test_eval_refuses_flags_that_write_nothing(zoo, tmp_path, capsys, case):
     assert not out.exists() and not summary.exists()
 
 
+@pytest.mark.parametrize("case", ["fewer_than_3_models", "adapted_not_run"])
+def test_eval_writes_nothing_when_its_summary_fails(one_model_zoo, tmp_path,
+                                                    capsys, case):
+    if case == "fewer_than_3_models":
+        manifest, error = one_model_zoo, "SynthError: need at least 3 points"
+        extra = []
+    else:
+        manifest = build_zoo(generate_scenario(mini_scenario(seed=21)),
+                             MINI_ARCHS, MINI_GRID, tmp_path / "fresh")
+        error = "missing file: "
+        sel = tmp_path / "sel.json"
+        assert main(["select", str(manifest), "-o", str(sel), "--q", "1"]) == 0
+        capsys.readouterr()
+        extra = [str(sel), "--adapted"]
+    out, summary = tmp_path / "eval.csv", tmp_path / "sum.csv"
+    rc = main(["eval", str(manifest), str(manifest.parent / "target_labels.txt")]
+              + extra + ["-o", str(out), "--summary", str(summary)])
+    assert error in _single_error_line(capsys, rc)
+    assert not out.exists() and not summary.exists()
+
+
+def test_eval_forwards_each_model_once(zoo, tmp_path, monkeypatch):
+    """eval --summary --adapted forwards every model once, to score it,
+    and each inlier once more, with its adapted head; the selected
+    ensemble reuses the scored probabilities."""
+    sel = tmp_path / "sel.json"
+    assert main(["select", str(zoo), "-o", str(sel), "--q", "1"]) == 0
+    assert main(["adapt", str(zoo), str(sel), "-o", str(tmp_path / "h.csv"),
+                 "--epochs", "1"]) == 0
+    calls = []
+
+    def counted(m):
+        calls.append(m.model_id)
+        return forward(m)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("zooadapt") and \
+                getattr(mod, "forward", None) is forward:
+            monkeypatch.setattr(mod, "forward", counted)
+    assert main(["eval", str(zoo), str(zoo.parent / "target_labels.txt"),
+                 str(sel), "-o", str(tmp_path / "eval.csv"),
+                 "--summary", str(tmp_path / "sum.csv"), "--adapted"]) == 0
+    ids = [e["id"] for e in json.loads(zoo.read_text())["models"]]
+    inliers = json.loads(sel.read_text())["inliers"]
+    assert inliers and sorted(calls) == sorted(ids + inliers)
+
+
 SCENARIO_VALUES = {"samples_a_string": ("samples_per_domain", "60"),
                    "seed_null": ("seed", None), "C_a_float": ("C", 3.0),
                    "seed_negative": ("seed", -1)}
@@ -424,6 +473,11 @@ BUILD_VALUES = {"epochs_negative": ("--grid", "epochs=-3"),
                 "ids_collide_archs": ("--archs", "proj-3,proj-3")}
 KERNEL_VALUES = {"kernel": "rbf:abc", "kernel_nan": "rbf:nan",
                  "kernel_inf": "rbf:inf"}
+# input files that are not UTF-8 text, and paths that name a directory
+NOT_UTF8 = ["labels_not_utf8", "selection_not_utf8", "scenario_not_utf8",
+            "manifest_not_utf8"]
+A_DIRECTORY = ["labels_a_directory", "selection_a_directory",
+               "out_a_directory"]
 
 
 @pytest.mark.parametrize("case,error", [
@@ -432,7 +486,9 @@ KERNEL_VALUES = {"kernel": "rbf:abc", "kernel_nan": "rbf:nan",
     ("scenario", "SynthError"), ("seed_flag_negative", "SynthError"),
     ("lambda1_nan", "SuteError"), ("lr_inf", "AdaptError"),
     ("lr_1e300", "AdaptError")]
-    + [(case, "SynthError") for case in [*SCENARIO_VALUES, *BUILD_VALUES]])
+    + [(case, "SynthError") for case in [*SCENARIO_VALUES, *BUILD_VALUES]]
+    + [(case, "UnicodeDecodeError") for case in NOT_UTF8]
+    + [(case, "IsADirectoryError") for case in A_DIRECTORY])
 def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
     doc = json.loads(mini_scenario(seed=22).to_json())
     if case in SCENARIO_VALUES:
@@ -444,6 +500,12 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
     not_json.write_text("C = 3\n")
     labels = tmp_path / "labels.txt"
     labels.write_text("0\n1\nx\n")
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\x80\xff\x00ZTF")
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    good_labels = str(zoo.parent / "target_labels.txt")
+    eval_out = ["-o", str(tmp_path / "eval.csv")]
     build = ["build", str(scen), str(tmp_path / "zoo")]
     sel = tmp_path / "sel.json"
     if case in ("lr_inf", "lr_1e300"):
@@ -465,11 +527,22 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
                    "--lr", "inf", "--epochs", "1"],
         "lr_1e300": ["adapt", str(zoo), str(sel), "-o", str(tmp_path / "h.csv"),
                      "--lr", "1e300", "--epochs", "1"],
+        "labels_not_utf8": ["eval", str(zoo), str(binary)] + eval_out,
+        "selection_not_utf8": ["adapt", str(zoo), str(binary), "-o",
+                               str(tmp_path / "h.csv"), "--epochs", "1"],
+        "scenario_not_utf8": ["build", str(binary), str(tmp_path / "zoo")],
+        "manifest_not_utf8": ["estimate", str(binary), "-o",
+                              str(tmp_path / "est.csv")],
+        "labels_a_directory": ["eval", str(zoo), str(a_dir)] + eval_out,
+        "selection_a_directory": ["eval", str(zoo), good_labels, str(a_dir)]
+        + eval_out,
+        "out_a_directory": ["eval", str(zoo), good_labels, "-o", str(a_dir)],
     }.get(case, build + list(BUILD_VALUES.get(case, ())))
     assert error in _single_error_line(capsys, main(argv))
     assert not (tmp_path / "zoo").exists()
     assert not (tmp_path / "est.csv").exists()
     assert not (tmp_path / "h.csv").exists()
+    assert not (tmp_path / "eval.csv").exists()
     assert {p: p.read_bytes() for p in zoo.parent.glob("*.adapted")} == adapted
 
 

@@ -7,14 +7,15 @@ import pytest
 from scipy import stats
 
 from conftest import MINI_ARCHS, MINI_GRID, mini_scenario
+from zooadapt.evaluate import (accuracy, read_labels, spearman,
+                               student_t_two_sided)
 from zooadapt.inference import forward
 from zooadapt.synthzoo import (ArchSpec, DomainTransform, FeatureMap,
                                ScenarioSpec, SynthError, TrainConfig,
-                               accuracy, apply_transform, build_zoo,
-                               fit_head, generate_scenario, read_labels,
-                               reference_archs, reference_grid,
-                               reference_scenario, rotation_matrix, spearman,
-                               student_t_two_sided)
+                               apply_transform, build_zoo, fit_head,
+                               generate_scenario, reference_archs,
+                               reference_grid, reference_scenario,
+                               rotation_matrix)
 from zooadapt.tensorio import load_zoo
 
 
@@ -58,7 +59,7 @@ def test_matched_domain_is_most_transferable(tmp_path):
     manifest = build_zoo(data, [ArchSpec(kind="identity")],
                          [TrainConfig(lr=0.5, epochs=150)], tmp_path)
     records, _ = load_zoo(manifest)
-    labels = read_labels(tmp_path / "target_labels.txt")
+    labels = read_labels(tmp_path / "target_labels.txt", spec.num_classes)
     accs = {m.domain_id: accuracy(forward(m), labels) for m in records}
     assert accs["dom1"] > accs["dom0"]
 
@@ -169,7 +170,7 @@ def test_reference_zoo_accuracy_spread(tmp_path):
     manifest = build_zoo(data, reference_archs(), reference_grid(), tmp_path)
     records, _ = load_zoo(manifest)
     assert len(records) == 36
-    labels = read_labels(tmp_path / "target_labels.txt")
+    labels = read_labels(tmp_path / "target_labels.txt", data.spec.num_classes)
     accs = [accuracy(forward(m), labels) for m in records]
     assert max(accs) - min(accs) >= 0.30
 
@@ -177,7 +178,7 @@ def test_reference_zoo_accuracy_spread(tmp_path):
 def test_labels_file_holds_target_labels(tmp_path):
     data = generate_scenario(mini_scenario(seed=13))
     build_zoo(data, MINI_ARCHS, MINI_GRID, tmp_path)
-    labels = read_labels(tmp_path / "target_labels.txt")
+    labels = read_labels(tmp_path / "target_labels.txt", data.spec.num_classes)
     np.testing.assert_array_equal(labels, data.target_y)
 
 

@@ -8,8 +8,7 @@ from .ensemble_adapt import (AdaptConfig, EnsembleModel, RecyclePair, adapt,
                              mine_recycle_pairs, objective)
 from .errors import ZooAdaptError
 from .evaluate import accuracy, read_labels, spearman, summary
-from .inference import (conditional_entropy, entropy, forward, mean_entropy,
-                        mix_outputs, predictive_semantics,
+from .inference import (forward, mix_outputs, predictive_semantics,
                         structural_semantics)
 from .selection import SelectionResult, diversity_set, select
 from .sute import (SuteComponents, SuteConfig, TransferabilityReport,

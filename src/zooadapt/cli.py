@@ -7,6 +7,8 @@ seeded, so reruns with identical inputs produce byte-identical outputs.
 """
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +23,7 @@ from .selection import SelectionResult, select
 from .sute import SuteConfig, score_zoo
 from .synthzoo import (REFERENCE_ARCHS, REFERENCE_GRID, ScenarioSpec,
                        build_zoo, generate_scenario, parse_archs, parse_grid)
-from .tensorio import load_zoo
+from .tensorio import load_zoo, read_text
 
 
 def main(argv=None) -> int:
@@ -32,8 +34,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: missing file: {e.filename}", file=sys.stderr)
         return 1
-    except (ZooAdaptError, OSError, UnicodeDecodeError) as e:
-        # OSError: a directory given as a file; UnicodeDecodeError: not UTF-8
+    except (ZooAdaptError, OSError) as e:  # OSError: a directory given as a file
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 
@@ -107,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_build(args) -> int:
-    spec = ScenarioSpec.from_json(Path(args.scenario).read_text())
+    spec = ScenarioSpec.from_json(read_text(args.scenario))
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     archs = parse_archs(args.archs, spec.seed)
@@ -148,7 +149,7 @@ def cmd_adapt(args) -> int:
         raise ZooAdaptError(
             "adapt is label-free; refusing to accept a labels file")
     records, _ = load_zoo(args.manifest)
-    sel = SelectionResult.from_json(Path(args.selection).read_text())
+    sel = SelectionResult.from_json(read_text(args.selection))
     ensemble, outliers = sel.inlier_ensemble(records)
     cfg = AdaptConfig(gamma1=args.gamma1, gamma2=args.gamma2,
                       tau_recycle=args.tau_recycle, epochs=args.epochs,
@@ -170,7 +171,7 @@ def cmd_eval(args) -> int:
               if args.labels else None)
     selected = adapted = None
     if args.selection:
-        sel = SelectionResult.from_json(Path(args.selection).read_text())
+        sel = SelectionResult.from_json(read_text(args.selection))
         selected, _ = sel.inlier_ensemble(records)
     if args.adapted:
         adapted = EnsembleModel(members=read_adapted_heads(selected.members),
@@ -181,6 +182,10 @@ def cmd_eval(args) -> int:
             {r.model_id: accuracy(r.probs, labels) for r in report.rows})
     if args.summary:  # every summary error comes before either file opens
         rows = summary(report, accs, labels, selected, adapted)
+    for path in filter(None, (args.out, args.summary)):
+        if Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    path)
     write_eval_csv(args.out, report, accs)
     if args.summary:
         write_summary(args.summary, rows)

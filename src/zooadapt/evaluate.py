@@ -5,7 +5,6 @@ adaptation never import this module. Label errors raise SynthError."""
 import csv
 import math
 import sys
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -14,11 +13,12 @@ from .ensemble_adapt import EnsembleModel, ensemble_forward
 from .inference import mix_outputs
 from .sute import REJECTED_CSV, TransferabilityReport
 from .synthzoo import SynthError
+from .tensorio import read_text
 
 
 def read_labels(path, num_classes: int) -> np.ndarray:
     """The integers of a whitespace-separated file, each in [0, C)."""
-    tokens = Path(path).read_text().split()
+    tokens = read_text(path).split()
     try:
         labels = np.array([int(tok) for tok in tokens])
     except ValueError as e:

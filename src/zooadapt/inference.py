@@ -1,11 +1,11 @@
 """Per-model basics on the target set: prediction probabilities, their
-weighted mixture, predictive and structural semantics, and entropy
-utilities."""
+weighted mixture, and predictive and structural semantics. The entropies
+built from them are sute's indicators."""
 
 import numpy as np
 
 from .errors import ZooAdaptError
-from .kernels import entropy_rows, softmax_rows
+from .kernels import softmax_rows
 from .tensorio import ModelRecord
 
 
@@ -68,32 +68,3 @@ def _assign_cosine(fhat: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     cnorm = np.where(cnorm > 0.0, cnorm, 1.0)
     sims = fhat @ (centroids / cnorm[:, None]).T
     return np.argmax(sims, axis=1)  # argmax tie-breaks to lowest index
-
-
-def entropy(p: np.ndarray) -> float:
-    """H(p) = -sum p*log(p) in nats, with 0*log(0) taken as 0."""
-    return float(entropy_rows(np.asarray(p, dtype=np.float64)[None, :])[0])
-
-
-def mean_entropy(p: np.ndarray) -> float:
-    """Mean per-row entropy of a probability matrix."""
-    return float(entropy_rows(p).mean())
-
-
-def conditional_entropy(structural: np.ndarray, predictive: np.ndarray,
-                        num_classes: int) -> float:
-    """H(structural | predictive) from the empirical joint distribution."""
-    structural = np.asarray(structural)
-    predictive = np.asarray(predictive)
-    if structural.shape != predictive.shape:
-        raise InferenceError("label arrays must have equal length")
-    n = structural.shape[0]
-    joint = np.zeros((num_classes, num_classes))
-    np.add.at(joint, (predictive, structural), 1.0)
-    h = 0.0
-    for row in joint:
-        total = float(row.sum())
-        if total == 0.0:
-            continue
-        h += (total / n) * entropy(row / total)
-    return h

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ZooAdaptError
-from .inference import (conditional_entropy, entropy, forward, mean_entropy,
-                        mix_outputs, predictive_semantics,
+from .inference import (forward, mix_outputs, predictive_semantics,
                         structural_semantics)
+from .kernels import entropy_rows
 from .tensorio import ModelRecord
 
 REJECTED_CSV = "-inf"
@@ -95,18 +95,34 @@ class ModelScores:
 
 def indicator_ic(p: np.ndarray) -> float:
     """Individual certainty: negative mean per-sample prediction entropy."""
-    return -mean_entropy(p)
+    return -float(entropy_rows(p).mean())
 
 
 def indicator_sc(structural: np.ndarray, predictive: np.ndarray,
                  num_classes: int) -> float:
-    """Semantics consistency: negative H(structural | predictive)."""
-    return -conditional_entropy(structural, predictive, num_classes)
+    """Semantics consistency: negative H(structural | predictive) from the
+    empirical joint. The entropies of its non-empty rows come from one
+    entropy_rows call and are weighted by row mass in class order."""
+    structural = np.asarray(structural)
+    predictive = np.asarray(predictive)
+    if structural.shape != predictive.shape:
+        raise SuteError("label arrays must have equal length")
+    n = structural.shape[0]
+    joint = np.zeros((num_classes, num_classes))
+    np.add.at(joint, (predictive, structural), 1.0)
+    totals = joint.sum(axis=1)
+    filled = totals > 0.0
+    h = 0.0
+    for total, row_h in zip(totals[filled].tolist(), entropy_rows(
+            joint[filled] / totals[filled, None]).tolist()):
+        h += (total / n) * row_h
+    return -h
 
 
 def indicator_gd(p: np.ndarray) -> float:
     """Global dispersity: entropy of the column-mean probability vector."""
-    return entropy(np.asarray(p, dtype=np.float64).mean(axis=0))
+    mean = np.asarray(p, dtype=np.float64).mean(axis=0)
+    return float(entropy_rows(mean[None, :])[0])
 
 
 def phi(gd: float, cfg: SuteConfig) -> float | None:

@@ -179,6 +179,10 @@ class ArchSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.kind not in ("identity", "proj", "rff", "poly2"):
+            raise SynthError(f"unknown arch kind {self.kind!r}")
+        if self.kind in ("proj", "rff") and self.dim < 1:
+            raise SynthError(f"{self.kind} dim must be >= 1")
         if self.kind == "rff" and not 0 < self.bandwidth < math.inf:
             raise SynthError("rff bandwidth must be finite and > 0")
 
@@ -210,52 +214,38 @@ class ArchSpec:
         raise SynthError(f"cannot parse arch token {token!r}")
 
 
-class FeatureMap:
-    """An arch applied behind a scaler fitted on one source domain.
+def map_features(arch: ArchSpec, source: np.ndarray,
+                 target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One source domain and the target through an arch, both standardized
+    by a scaler fitted on the source's raw features.
 
     The scaler is part of the frozen extractor, so shifted target data
     lands in the representation the head was actually trained against.
     """
+    d0 = source.shape[1]
+    rng = np.random.default_rng([arch.seed, 9151])
+    if arch.kind == "proj":
+        a = rng.normal(size=(d0, arch.dim)) / math.sqrt(d0)
+    elif arch.kind == "rff":
+        omega = rng.normal(size=(d0, arch.dim)) / arch.bandwidth
+        phase = rng.uniform(0.0, 2.0 * math.pi, size=arch.dim)
 
-    def __init__(self, arch: ArchSpec, d0: int):
-        self.arch = arch
-        rng = np.random.default_rng([arch.seed, 9151])
+    def raw(x):
         if arch.kind == "proj":
-            if arch.dim < 1:
-                raise SynthError("projection dim must be >= 1")
-            self._a = rng.normal(size=(d0, arch.dim)) / math.sqrt(d0)
-        elif arch.kind == "rff":
-            if arch.dim < 1:
-                raise SynthError("fourier dim must be >= 1")
-            self._omega = rng.normal(size=(d0, arch.dim)) / arch.bandwidth
-            self._phase = rng.uniform(0.0, 2.0 * math.pi, size=arch.dim)
-        elif arch.kind not in ("identity", "poly2"):
-            raise SynthError(f"unknown arch kind {arch.kind!r}")
-        self._mu = None
-        self._sd = None
+            return x @ a
+        if arch.kind == "rff":
+            return math.sqrt(2.0 / arch.dim) * np.cos(x @ omega + phase)
+        if arch.kind == "poly2":
+            iu = np.triu_indices(d0)
+            quad = (x[:, :, None] * x[:, None, :])[:, iu[0], iu[1]]
+            return np.concatenate([x, quad], axis=1)
+        return x
 
-    def _raw(self, x: np.ndarray) -> np.ndarray:
-        if self.arch.kind == "identity":
-            return x
-        if self.arch.kind == "proj":
-            return x @ self._a
-        if self.arch.kind == "rff":
-            return math.sqrt(2.0 / self.arch.dim) * np.cos(x @ self._omega + self._phase)
-        iu = np.triu_indices(x.shape[1])
-        quad = (x[:, :, None] * x[:, None, :])[:, iu[0], iu[1]]
-        return np.concatenate([x, quad], axis=1)
-
-    def fit(self, x: np.ndarray) -> "FeatureMap":
-        raw = self._raw(x)
-        self._mu = raw.mean(axis=0)
-        sd = raw.std(axis=0)
-        self._sd = np.where(sd > 0.0, sd, 1.0)
-        return self
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        if self._mu is None:
-            raise SynthError("feature map must be fitted first")
-        return (self._raw(x) - self._mu) / self._sd
+    src = raw(source)
+    mu = src.mean(axis=0)
+    sd = src.std(axis=0)
+    sd = np.where(sd > 0.0, sd, 1.0)
+    return (src - mu) / sd, (raw(target) - mu) / sd
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +358,8 @@ def build_zoo(scenario: ScenarioData, archs: list[ArchSpec],
     for k in range(spec.num_domains):
         domain_id = f"dom{k}"
         for arch in archs:
-            fmap = FeatureMap(arch, spec.d0).fit(scenario.domain_x[k])
-            src = fmap.transform(scenario.domain_x[k])
-            tgt = fmap.transform(scenario.target_x)
+            src, tgt = map_features(arch, scenario.domain_x[k],
+                                    scenario.target_x)
             for cfg in configs:
                 model_id = _model_id(k, arch, cfg)
                 try:

@@ -135,6 +135,16 @@ class TargetBundle:
     num_classes: int
 
 
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file; any other bytes raise
+    ZooAdaptError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ZooAdaptError(f"{path}: not UTF-8 text ({e.reason} at byte "
+                            f"{e.start})")
+
+
 def save_manifest(path, models: list[dict], target: dict) -> None:
     doc = {"version": 1, "target": target, "models": models}
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
@@ -144,7 +154,7 @@ def load_zoo(manifest_path) -> tuple[list[ModelRecord], TargetBundle]:
     """Load and validate a zoo: consistent n and C, unique ids, files parse."""
     manifest_path = Path(manifest_path)
     try:
-        doc = json.loads(manifest_path.read_text())
+        doc = json.loads(read_text(manifest_path))
     except FileNotFoundError:
         raise ManifestError(f"manifest not found: {manifest_path}")
     except json.JSONDecodeError as e:

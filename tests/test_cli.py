@@ -164,6 +164,12 @@ def _walkthrough_commands() -> list[list[str]]:
             if line.startswith("zooadapt ")]
 
 
+def _library_block() -> str:
+    """README's "Library entry points" Python example."""
+    text = README.read_text().split("## Library entry points", 1)[1]
+    return text.split("```python\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_walkthrough_runs(tmp_path, monkeypatch):
     commands = _walkthrough_commands()
     assert [c[0] for c in commands] == ["build", "estimate", "select",
@@ -173,6 +179,10 @@ def test_readme_walkthrough_runs(tmp_path, monkeypatch):
     Path("scenario.json").write_text(reference_scenario(42).to_json() + "\n")
     for argv in commands:
         assert main(argv) == 0, argv
+    # the library example reads the zoo the walkthrough built
+    scope = {}
+    exec(compile(_library_block(), "README.md", "exec"), scope)
+    assert len(scope["report"].rows) == len(scope["records"]) == 36
 
 
 def test_adapt_refuses_labels_flag(zoo, tmp_path, capsys):
@@ -470,14 +480,16 @@ BUILD_VALUES = {"epochs_negative": ("--grid", "epochs=-3"),
                 "ids_collide_grid": (
                     "--archs", "identity", "--grid",
                     "lr=0.5,epochs=20,momentum=0.9;lr=0.5,epochs=20,momentum=0.5"),
-                "ids_collide_archs": ("--archs", "proj-3,proj-3")}
+                "ids_collide_archs": ("--archs", "proj-3,proj-3"),
+                "proj_dim_zero": ("--archs", "proj-0"),
+                "rff_dim_zero": ("--archs", "identity,rff-0-2.0")}
 KERNEL_VALUES = {"kernel": "rbf:abc", "kernel_nan": "rbf:nan",
                  "kernel_inf": "rbf:inf"}
 # input files that are not UTF-8 text, and paths that name a directory
 NOT_UTF8 = ["labels_not_utf8", "selection_not_utf8", "scenario_not_utf8",
             "manifest_not_utf8"]
 A_DIRECTORY = ["labels_a_directory", "selection_a_directory",
-               "out_a_directory"]
+               "out_a_directory", "summary_a_directory"]
 
 
 @pytest.mark.parametrize("case,error", [
@@ -487,7 +499,7 @@ A_DIRECTORY = ["labels_a_directory", "selection_a_directory",
     ("lambda1_nan", "SuteError"), ("lr_inf", "AdaptError"),
     ("lr_1e300", "AdaptError")]
     + [(case, "SynthError") for case in [*SCENARIO_VALUES, *BUILD_VALUES]]
-    + [(case, "UnicodeDecodeError") for case in NOT_UTF8]
+    + [(case, "ZooAdaptError") for case in NOT_UTF8]
     + [(case, "IsADirectoryError") for case in A_DIRECTORY])
 def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
     doc = json.loads(mini_scenario(seed=22).to_json())
@@ -537,8 +549,13 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
         "selection_a_directory": ["eval", str(zoo), good_labels, str(a_dir)]
         + eval_out,
         "out_a_directory": ["eval", str(zoo), good_labels, "-o", str(a_dir)],
+        "summary_a_directory": ["eval", str(zoo), good_labels, "--summary",
+                                str(a_dir)] + eval_out,
     }.get(case, build + list(BUILD_VALUES.get(case, ())))
-    assert error in _single_error_line(capsys, main(argv))
+    line = _single_error_line(capsys, main(argv))
+    assert error in line
+    if case in NOT_UTF8:
+        assert f"{binary}: not UTF-8 text" in line
     assert not (tmp_path / "zoo").exists()
     assert not (tmp_path / "est.csv").exists()
     assert not (tmp_path / "h.csv").exists()

@@ -3,11 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from zooadapt.inference import (InferenceError, conditional_entropy, entropy,
-                                forward, mean_entropy, predictive_semantics,
+from zooadapt.inference import (InferenceError, forward, predictive_semantics,
                                 structural_semantics)
 from zooadapt.tensorio import ModelRecord
 
@@ -162,86 +159,3 @@ def test_structural_rotation_invariance():
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
     np.testing.assert_array_equal(structural_semantics(feats, p),
                                   structural_semantics(feats @ q, p))
-
-
-# --- entropy -----------------------------------------------------------------
-
-def test_entropy_closed_forms():
-    assert entropy(np.full(4, 0.25)) == pytest.approx(math.log(4), abs=1e-12)
-    assert entropy(np.array([1.0, 0.0, 0.0])) == 0.0
-    assert entropy(np.array([0.5, 0.5, 0.0, 0.0])) == pytest.approx(
-        math.log(2), abs=1e-12)
-
-
-def test_mean_entropy():
-    p = np.array([[1.0, 0.0], [0.5, 0.5]])
-    assert mean_entropy(p) == pytest.approx(0.5 * math.log(2), abs=1e-12)
-
-
-def oracle_conditional_entropy(joint):
-    """H(col | row) evaluated straight from the definition."""
-    joint = np.asarray(joint, float)
-    n = joint.sum()
-    h = 0.0
-    for row in joint:
-        tot = row.sum()
-        if tot == 0:
-            continue
-        cond = row / tot
-        h += (tot / n) * sum(-v * math.log(v) for v in cond if v > 0)
-    return h
-
-
-def _labels_from_joint(joint):
-    pred, stu = [], []
-    for a, row in enumerate(joint):
-        for b, count in enumerate(row):
-            pred += [a] * count
-            stu += [b] * count
-    return np.array(stu), np.array(pred)
-
-
-def test_conditional_entropy_deterministic_mapping_is_zero():
-    stu = np.array([2, 0, 1, 2, 0])
-    assert conditional_entropy(stu, stu.copy(), 3) == 0.0
-
-
-def test_conditional_entropy_uniform_joint():
-    stu, pred = _labels_from_joint([[1, 1], [1, 1]])
-    assert conditional_entropy(stu, pred, 2) == pytest.approx(math.log(2),
-
-                                                              abs=1e-12)
-
-
-def test_conditional_entropy_matches_oracle():
-    joint = [[3, 1], [0, 4]]
-    stu, pred = _labels_from_joint(joint)
-    expected = oracle_conditional_entropy(joint)
-    # 0.5 * H(0.75, 0.25), frozen from the oracle at 64-bit precision
-    assert expected == pytest.approx(0.2811675723094042, abs=1e-12)
-    assert conditional_entropy(stu, pred, 2) == pytest.approx(expected,
-                                                              abs=1e-12)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=10 ** 6))
-def test_entropy_bounds_random_rows(num_classes, seed):
-    rng = np.random.default_rng(seed)
-    p = rng.dirichlet(np.ones(num_classes), size=6)
-    for row in p:
-        h = entropy(row)
-        assert -1e-12 <= h <= math.log(num_classes) + 1e-12
-    assert -1e-12 <= mean_entropy(p) <= math.log(num_classes) + 1e-12
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=10 ** 6))
-def test_conditional_entropy_below_marginal(seed):
-    rng = np.random.default_rng(seed)
-    num_classes = int(rng.integers(2, 5))
-    n = int(rng.integers(5, 40))
-    stu = rng.integers(0, num_classes, size=n)
-    pred = rng.integers(0, num_classes, size=n)
-    counts = np.bincount(stu, minlength=num_classes).astype(float)
-    marginal = sum(-(c / n) * math.log(c / n) for c in counts if c > 0)
-    assert conditional_entropy(stu, pred, num_classes) <= marginal + 1e-12

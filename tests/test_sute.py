@@ -2,19 +2,45 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_model
+from zooadapt import sute
 from zooadapt.inference import (forward, predictive_semantics,
                                 structural_semantics)
+from zooadapt.kernels import entropy_rows
 from zooadapt.sute import (SuteConfig, SuteError, combine,
                            ensemble_components, indicator_gd, indicator_ic,
                            indicator_sc, phi, score_zoo, sute_score,
                            weighted_vote)
-from test_inference import oracle_conditional_entropy
 
 
 def naive_entropy_vec(p):
     return sum(-v * math.log(v) for v in p if v > 0)
+
+
+def oracle_conditional_entropy(joint):
+    """H(col | row) evaluated straight from the definition."""
+    joint = np.asarray(joint, float)
+    n = joint.sum()
+    h = 0.0
+    for row in joint:
+        tot = row.sum()
+        if tot == 0:
+            continue
+        cond = row / tot
+        h += (tot / n) * sum(-v * math.log(v) for v in cond if v > 0)
+    return h
+
+
+def _labels_from_joint(joint):
+    pred, stu = [], []
+    for a, row in enumerate(joint):
+        for b, count in enumerate(row):
+            pred += [a] * count
+            stu += [b] * count
+    return np.array(stu), np.array(pred)
 
 
 # --- indicators ---------------------------------------------------------------
@@ -27,6 +53,9 @@ def test_indicator_ic_one_hot_rows():
 def test_indicator_ic_uniform_rows():
     p = np.full((7, 4), 0.25)
     assert indicator_ic(p) == pytest.approx(-math.log(4), abs=1e-12)
+    # uniform over two of four classes: the zeros add nothing
+    p = np.array([[0.5, 0.5, 0.0, 0.0]])
+    assert indicator_ic(p) == pytest.approx(-math.log(2), abs=1e-12)
 
 
 def test_indicator_ic_mixed_matches_oracle():
@@ -52,15 +81,51 @@ def test_indicator_sc_independent_uniform_approaches_neg_log_c():
 
 
 def test_indicator_sc_matches_conditional_oracle():
-    joint = [[3, 1], [0, 4]]
-    stu, pred = [], []
-    for a, row in enumerate(joint):
-        for b, count in enumerate(row):
-            pred += [a] * count
-            stu += [b] * count
-    expected = -oracle_conditional_entropy(joint)
-    assert indicator_sc(np.array(stu), np.array(pred), 2) == pytest.approx(
-        expected, abs=1e-12)
+    # 0.5 * H(0.75, 0.25), frozen from the oracle at 64-bit precision, and
+    # the uniform joint's ln 2
+    for joint, frozen in (([[3, 1], [0, 4]], 0.2811675723094042),
+                          ([[1, 1], [1, 1]], math.log(2))):
+        expected = oracle_conditional_entropy(joint)
+        assert expected == pytest.approx(frozen, abs=1e-12)
+        stu, pred = _labels_from_joint(joint)
+        assert indicator_sc(stu, pred, 2) == pytest.approx(-expected,
+                                                           abs=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_indicator_sc_no_less_than_minus_marginal_entropy(seed):
+    """Conditioning cannot raise entropy: H(stu | pred) <= H(stu)."""
+    rng = np.random.default_rng(seed)
+    num_classes = int(rng.integers(2, 5))
+    n = int(rng.integers(5, 40))
+    stu = rng.integers(0, num_classes, size=n)
+    pred = rng.integers(0, num_classes, size=n)
+    counts = np.bincount(stu, minlength=num_classes).astype(float)
+    marginal = sum(-(c / n) * math.log(c / n) for c in counts if c > 0)
+    assert -indicator_sc(stu, pred, num_classes) <= marginal + 1e-12
+
+
+def test_indicator_sc_refuses_unequal_lengths():
+    with pytest.raises(SuteError, match="equal length"):
+        indicator_sc(np.array([0, 1, 1]), np.array([0, 1]), 2)
+
+
+def test_indicator_sc_one_entropy_rows_call(monkeypatch):
+    """At C=65 every class row of the joint is filled, and their entropies
+    still come from a single entropy_rows call."""
+    calls = []
+
+    def counted(p):
+        calls.append(p.shape)
+        return entropy_rows(p)
+
+    monkeypatch.setattr(sute, "entropy_rows", counted)
+    rng = np.random.default_rng(0)
+    stu = rng.integers(0, 65, size=1300)
+    pred = np.tile(np.arange(65), 20)
+    indicator_sc(stu, pred, 65)
+    assert calls == [(65, 65)]
 
 
 def test_indicator_gd_collapse_and_balanced():
@@ -68,6 +133,19 @@ def test_indicator_gd_collapse_and_balanced():
     assert indicator_gd(collapsed) == 0.0
     balanced = np.eye(4)[np.tile(np.arange(4), 3)]
     assert indicator_gd(balanced) == pytest.approx(math.log(4), abs=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=2, max_value=5),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_indicator_ic_and_gd_within_zero_and_log_c(num_classes, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(num_classes), size=6)
+    top = math.log(num_classes) + 1e-12
+    for row in p:
+        assert -1e-12 <= -indicator_ic(row[None, :]) <= top
+    assert -1e-12 <= -indicator_ic(p) <= top
+    assert -1e-12 <= indicator_gd(p) <= top
 
 
 def test_indicator_gd_mixed_matches_oracle():

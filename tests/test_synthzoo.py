@@ -10,12 +10,11 @@ from conftest import MINI_ARCHS, MINI_GRID, mini_scenario
 from zooadapt.evaluate import (accuracy, read_labels, spearman,
                                student_t_two_sided)
 from zooadapt.inference import forward
-from zooadapt.synthzoo import (ArchSpec, DomainTransform, FeatureMap,
-                               ScenarioSpec, SynthError, TrainConfig,
-                               apply_transform, build_zoo, fit_head,
-                               generate_scenario, reference_archs,
-                               reference_grid, reference_scenario,
-                               rotation_matrix)
+from zooadapt.synthzoo import (ArchSpec, DomainTransform, ScenarioSpec,
+                               SynthError, TrainConfig, apply_transform,
+                               build_zoo, fit_head, generate_scenario,
+                               map_features, reference_archs, reference_grid,
+                               reference_scenario, rotation_matrix)
 from zooadapt.tensorio import load_zoo
 
 
@@ -95,21 +94,26 @@ def test_arch_parse_tokens():
     assert ArchSpec.parse("poly2").kind == "poly2"
     with pytest.raises(SynthError):
         ArchSpec.parse("resnet50")
+    for token in ("proj-0", "rff-0-2.0"):
+        with pytest.raises(SynthError, match="dim must be >= 1"):
+            ArchSpec.parse(token)
+    with pytest.raises(SynthError, match="unknown arch kind"):
+        ArchSpec(kind="resnet50")
 
 
 def test_feature_map_shapes_and_standardization():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(50, 4))
+    target = rng.normal(size=(30, 4)) + 1.0
     for arch, dim in ((ArchSpec(kind="identity"), 4),
                       (ArchSpec(kind="proj", dim=7, seed=1), 7),
                       (ArchSpec(kind="rff", dim=12, bandwidth=2.0, seed=2), 12),
                       (ArchSpec(kind="poly2"), 4 + 10)):
-        fm = FeatureMap(arch, 4).fit(x)
-        out = fm.transform(x)
-        assert out.shape == (50, dim)
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-9)
-    with pytest.raises(SynthError):
-        FeatureMap(ArchSpec(kind="proj", dim=7), 4).transform(x)
+        src, tgt = map_features(arch, x, target)
+        assert src.shape == (50, dim) and tgt.shape == (30, dim)
+        np.testing.assert_allclose(src.mean(axis=0), 0.0, atol=1e-9)
+        # the target goes through the scaler fitted on the source
+        np.testing.assert_array_equal(map_features(arch, x, x)[1], src)
 
 
 def test_train_config_parse():

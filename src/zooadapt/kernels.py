@@ -15,10 +15,16 @@ def _as_f64(a):
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction, n x C in, n x C out."""
+    """Softmax over the last axis with per-row max subtraction; any
+    leading shape. The row maxima come from one reduceat over the flat
+    buffer, the same values as max(axis=-1) without its per-row setup."""
     z = _as_f64(z)
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    c = z.shape[-1]
+    top = np.maximum.reduceat(z.reshape(-1), np.arange(0, z.size, c))
+    e = z - top.reshape(*z.shape[:-1], 1)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def entropy_rows(p: np.ndarray) -> np.ndarray:

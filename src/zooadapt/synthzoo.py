@@ -290,34 +290,43 @@ class TrainConfig:
 
 
 def fit_head(x: np.ndarray, y: np.ndarray, num_classes: int,
-             cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    """Multinomial logistic regression by full-batch momentum descent.
+             cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Multinomial logistic regression by full-batch momentum descent, for
+    K heads at once: x is K x m x d (one arch's features of K domains), y
+    is K x m. Returns (W, b, loss), K x C x d, K x C and K.
 
-    Zero-initialized (the objective is convex), returns (W, b, loss).
-    A non-finite loss aborts with SynthError so the builder can exclude
-    the model.
+    Each slice runs exactly the arithmetic of a lone fit on its own data,
+    through one stacked matmul per step, so slices never mix. Heads are
+    zero-initialized (the objective is convex). A slice whose loss goes
+    non-finite at any epoch keeps that loss: the builder excludes the
+    head, and the other slices are unaffected.
     """
-    m, d = x.shape
-    onehot = np.zeros((m, num_classes))
-    onehot[np.arange(m), y] = 1.0
-    w = np.zeros((num_classes, d))
-    b = np.zeros(num_classes)
+    k, m, _ = x.shape
+    # flat index of each row's label in a K x m x C buffer
+    at_label = (np.arange(k * m).reshape(k, m) * num_classes + y).reshape(-1)
+    w = np.zeros((k, num_classes, x.shape[2]))
+    b = np.zeros((k, num_classes))
     vw = np.zeros_like(w)
     vb = np.zeros_like(b)
-    loss = math.inf
-    for _ in range(cfg.epochs):
-        p = softmax_rows(x @ w.T + b)
-        loss = float(-np.log(p[np.arange(m), y]).mean()) \
-            + 0.5 * cfg.l2 * float((w * w).sum())
-        if not np.isfinite(loss):
-            raise SynthError("head fit diverged: non-finite loss")
-        g = p - onehot
-        gw = g.T @ x / m + cfg.l2 * w
-        gb = g.sum(axis=0) / m
-        vw = cfg.momentum * vw + gw
-        vb = cfg.momentum * vb + gb
-        w = w - cfg.lr * vw
-        b = b - cfg.lr * vb
+    loss = np.zeros(k)
+    logits = np.empty((k, m, num_classes))
+    # a diverging slice overflows or takes log 0; its loss reports that
+    with np.errstate(all="ignore"):
+        for _ in range(cfg.epochs):
+            np.matmul(x, w.transpose(0, 2, 1), out=logits)
+            logits += b[:, None, :]
+            g = softmax_rows(logits)
+            flat = g.reshape(-1)
+            step = -np.log(flat[at_label].reshape(k, m)).mean(axis=1) \
+                + 0.5 * cfg.l2 * (w * w).sum(axis=(1, 2))
+            loss = np.where(np.isfinite(loss), step, loss)
+            flat[at_label] -= 1.0  # softmax minus one-hot
+            gw = g.transpose(0, 2, 1) @ x / m + cfg.l2 * w
+            gb = g.sum(axis=1) / m
+            vw = cfg.momentum * vw + gw
+            vb = cfg.momentum * vb + gb
+            w = w - cfg.lr * vw
+            b = b - cfg.lr * vb
     return w, b, loss
 
 
@@ -327,6 +336,38 @@ def fit_head(x: np.ndarray, y: np.ndarray, num_classes: int,
 
 def _model_id(domain: int, arch: ArchSpec, cfg: TrainConfig) -> str:
     return f"dom{domain}-{arch.tag}-{cfg.tag}"
+
+
+def _tensor_names(model_id: str) -> dict[str, str]:
+    return {key: f"{model_id}.{key}.ztf"
+            for key in ("features", "weights", "bias")}
+
+
+def _fit_arch(scenario: ScenarioData, arch: ArchSpec, labels: np.ndarray,
+              configs: list[TrainConfig], out: Path) -> set[str]:
+    """Map every domain through one arch, fit its heads for all domains
+    at once per config, and write the tensors of each head that
+    converged. Returns the ids of the heads that diverged."""
+    sources, targets = [], []
+    for x in scenario.domain_x:
+        src, tgt = map_features(arch, x, scenario.target_x)
+        sources.append(src)
+        targets.append(tgt.astype(np.float32))
+    src = np.stack(sources)
+    del sources, tgt  # only the stack and the float32 targets stay live
+    diverged = set()
+    for cfg in configs:
+        w, b, loss = fit_head(src, labels, scenario.spec.num_classes, cfg)
+        for k, tgt in enumerate(targets):
+            model_id = _model_id(k, arch, cfg)
+            if not np.isfinite(loss[k]):
+                diverged.add(model_id)
+                continue
+            names = _tensor_names(model_id)
+            write_tensor(tgt, out / names["features"])
+            write_tensor(w[k].astype(np.float32), out / names["weights"])
+            write_tensor(b[k].astype(np.float32), out / names["bias"])
+    return diverged
 
 
 def build_zoo(scenario: ScenarioData, archs: list[ArchSpec],
@@ -354,31 +395,23 @@ def build_zoo(scenario: ScenarioData, archs: list[ArchSpec],
     (out / labels_name).write_text(
         "".join(f"{int(v)}\n" for v in scenario.target_y))
 
+    labels = np.stack(scenario.domain_y)
+    diverged = set()
+    for arch in archs:
+        diverged |= _fit_arch(scenario, arch, labels, configs, out)
+
     entries = []
     for k in range(spec.num_domains):
-        domain_id = f"dom{k}"
         for arch in archs:
-            src, tgt = map_features(arch, scenario.domain_x[k],
-                                    scenario.target_x)
             for cfg in configs:
                 model_id = _model_id(k, arch, cfg)
-                try:
-                    w, b, _ = fit_head(src, scenario.domain_y[k],
-                                       spec.num_classes, cfg)
-                except SynthError as e:
-                    warnings.warn(f"excluding {model_id}: {e}")
+                if model_id in diverged:
+                    warnings.warn(f"excluding {model_id}: head fit diverged: "
+                                  "non-finite loss")
                     continue
-                names = {
-                    "features": f"{model_id}.features.ztf",
-                    "weights": f"{model_id}.weights.ztf",
-                    "bias": f"{model_id}.bias.ztf",
-                }
-                write_tensor(tgt.astype(np.float32), out / names["features"])
-                write_tensor(w.astype(np.float32), out / names["weights"])
-                write_tensor(b.astype(np.float32), out / names["bias"])
                 entries.append({
-                    "id": model_id, "domain": domain_id, "arch": arch.tag,
-                    **names,
+                    "id": model_id, "domain": f"dom{k}", "arch": arch.tag,
+                    **_tensor_names(model_id),
                     "meta": {"lr": repr(cfg.lr), "epochs": str(cfg.epochs),
                              "momentum": repr(cfg.momentum), "l2": repr(cfg.l2),
                              "optimizer": "momentum-gd"},

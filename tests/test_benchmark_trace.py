@@ -10,6 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import MINI_ARCHS, MINI_GRID, mini_scenario
+from zooadapt import synthzoo
+
 SPANS = Path(__file__).resolve().parents[1] / "pipebench" / "spans.py"
 
 
@@ -76,3 +79,25 @@ def test_hsic_probe_reads_factor_arguments():
     metrics = spans.layer_metrics(tracer)
     assert metrics["diversity.hsic.calls"] == len(candidates) * len(anchors)
     assert metrics["diversity.gram_bytes"] == 8 * 12 * 12
+
+
+def test_traced_build_fits_once_per_arch_and_config(tmp_path):
+    # fit_head takes every domain's heads of one (arch, config) at once,
+    # and the wrappers change no byte of what the build writes
+    spans = _load_spans()
+    data = synthzoo.generate_scenario(mini_scenario())
+    grid = MINI_GRID + [synthzoo.TrainConfig(lr=0.05, epochs=15)]
+    synthzoo.build_zoo(data, MINI_ARCHS, grid, tmp_path / "plain")
+    tracer = spans.Tracer()
+    with tracer:
+        synthzoo.build_zoo(data, MINI_ARCHS, grid, tmp_path / "traced")
+    cells = len(MINI_ARCHS) * len(grid)
+    assert spans.layer_metrics(tracer)["synthzoo.fit_head.calls"] == cells
+
+    def written(d):
+        return {p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+
+    plain = written("plain")
+    # three tensors per model, the manifest and the labels file
+    assert len(plain) == data.spec.num_domains * cells * 3 + 2
+    assert written("traced") == plain

@@ -50,6 +50,34 @@ def test_softmax_rows_handles_large_logits():
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
+def max_form_softmax(z):
+    """Reference softmax with the row max taken by max(axis=-1)."""
+    z = np.ascontiguousarray(z, dtype=np.float64)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("c", [2, 5, 65])
+@pytest.mark.parametrize("rows", [(1,), (240,), (3, 240)],
+                         ids=["one-row", "2d", "3d"])
+@pytest.mark.parametrize("special", [False, True], ids=["finite", "inf-nan"])
+def test_softmax_rows_bit_equal_to_max_form(rng, rows, c, special):
+    z = rng.normal(size=(*rows, c)) * 30
+    if special:
+        flat = z.reshape(-1)
+        pick = rng.permutation(flat.size)[:6]
+        flat[pick[0::3]] = np.inf
+        flat[pick[1::3]] = -np.inf
+        flat[pick[2::3]] = np.nan
+    before = z.copy()
+    with np.errstate(invalid="ignore"):
+        got = kernels.softmax_rows(z)
+        want = max_form_softmax(z)
+    assert got.shape == z.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(z, before, equal_nan=True)  # input left as it was
+
+
 def test_entropy_rows_matches_naive(rng):
     p = kernels.softmax_rows(rng.normal(size=(30, 5)))
     np.testing.assert_allclose(kernels.entropy_rows(p), naive_entropy(p),

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from conftest import MINI_ARCHS, MINI_GRID, mini_scenario
 from zooadapt.evaluate import (accuracy, read_labels, spearman,
                                student_t_two_sided)
 from zooadapt.inference import forward
+from zooadapt.kernels import softmax_rows
 from zooadapt.synthzoo import (ArchSpec, DomainTransform, ScenarioSpec,
                                SynthError, TrainConfig, apply_transform,
                                build_zoo, fit_head, generate_scenario,
@@ -130,11 +132,82 @@ def test_fit_head_separable_reaches_high_accuracy():
     centers = np.array([[6.0, 0.0], [-6.0, 0.0], [0.0, 6.0]])
     y = np.tile(np.arange(3), 40)
     x = centers[y] + rng.normal(size=(120, 2)) * 0.4
-    w, b, _ = fit_head(x, y, 3, TrainConfig(lr=0.5, epochs=300))
-    from zooadapt.kernels import softmax_rows
-
-    p = softmax_rows(x @ w.T + b)
+    w, b, _ = fit_head(x[None], y[None], 3, TrainConfig(lr=0.5, epochs=300))
+    p = softmax_rows(x @ w[0].T + b[0])
     assert accuracy(p, y) >= 0.99
+
+
+def fit_one_head(x, y, num_classes, cfg):
+    """Oracle: one head fitted alone, the per-head descent that the
+    stacked fit_head replaced, with its own max-subtracted softmax."""
+    m, d = x.shape
+    onehot = np.zeros((m, num_classes))
+    onehot[np.arange(m), y] = 1.0
+    w = np.zeros((num_classes, d))
+    b = np.zeros(num_classes)
+    vw = np.zeros_like(w)
+    vb = np.zeros_like(b)
+    loss = math.inf
+    for _ in range(cfg.epochs):
+        z = x @ w.T + b
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        p = e / e.sum(axis=1, keepdims=True)
+        loss = float(-np.log(p[np.arange(m), y]).mean()) \
+            + 0.5 * cfg.l2 * float((w * w).sum())
+        if not np.isfinite(loss):
+            raise SynthError("head fit diverged: non-finite loss")
+        g = p - onehot
+        gw = g.T @ x / m + cfg.l2 * w
+        gb = g.sum(axis=0) / m
+        vw = cfg.momentum * vw + gw
+        vb = cfg.momentum * vb + gb
+        w = w - cfg.lr * vw
+        b = b - cfg.lr * vb
+    return w, b, loss
+
+
+def _reference_stack(arch, domains):
+    """One arch's standardized source features and labels of the given
+    reference seed-42 domains, stacked."""
+    data = generate_scenario(reference_scenario(42))
+    x = np.stack([map_features(arch, data.domain_x[k], data.target_x)[0]
+                  for k in domains])
+    return x, np.stack([data.domain_y[k] for k in domains])
+
+
+@pytest.mark.parametrize("cfg", reference_grid(), ids=lambda c: c.tag)
+@pytest.mark.parametrize("domains", [(1,), (0, 1, 2)], ids=["K1", "K3"])
+def test_fit_head_slices_equal_lone_fits(domains, cfg):
+    for arch in reference_archs():
+        x, y = _reference_stack(arch, domains)
+        w, b, loss = fit_head(x, y, 5, cfg)
+        assert w.shape == (len(domains), 5, x.shape[2])
+        for k in range(len(domains)):
+            w1, b1, loss1 = fit_one_head(x[k], y[k], 5, cfg)
+            assert np.array_equal(w[k], w1), (arch.tag, k)
+            assert np.array_equal(b[k], b1), (arch.tag, k)
+            assert loss[k] == loss1
+
+
+def test_fit_head_diverged_slice_leaves_the_others_bit_equal():
+    # at lr=50 only domain 2's rff64b8 head of the reference zoo diverges
+    arch = ArchSpec.parse("rff-64-8.0", seed=4)
+    assert arch == reference_archs()[4]
+    cfg = TrainConfig(lr=50, epochs=300)
+    x, y = _reference_stack(arch, (0, 1, 2))
+    w, b, loss = fit_head(x, y, 5, cfg)
+    diverged = []
+    for k in range(3):
+        try:
+            with np.errstate(all="ignore"):
+                w1, b1, loss1 = fit_one_head(x[k], y[k], 5, cfg)
+        except SynthError:
+            diverged.append(k)
+            continue
+        assert np.array_equal(w[k], w1) and np.array_equal(b[k], b1)
+        assert loss[k] == loss1
+    assert diverged == [2]
+    assert np.isfinite(loss).tolist() == [True, True, False]
 
 
 # --- zoo building -------------------------------------------------------------------
@@ -184,6 +257,35 @@ def test_labels_file_holds_target_labels(tmp_path):
     build_zoo(data, MINI_ARCHS, MINI_GRID, tmp_path)
     labels = read_labels(tmp_path / "target_labels.txt", data.spec.num_classes)
     np.testing.assert_array_equal(labels, data.target_y)
+
+
+def test_build_excludes_diverged_heads_with_only_their_warning(tmp_path):
+    data = generate_scenario(mini_scenario(seed=5))
+    archs = MINI_ARCHS + [ArchSpec(kind="rff", dim=64, bandwidth=8.0, seed=3)]
+    # lr=50 diverges on one domain's rff64b8 head, lr=1000 on every head
+    grid = MINI_GRID + [TrainConfig(lr=50, epochs=80),
+                        TrainConfig(lr=1000, epochs=80)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        manifest = build_zoo(data, archs, grid, tmp_path)
+    expected = []
+    for k, x in enumerate(data.domain_x):
+        for arch in archs:
+            src = map_features(arch, x, data.target_x)[0]
+            for cfg in grid:
+                try:
+                    with np.errstate(all="ignore"):
+                        fit_one_head(src, data.domain_y[k], 3, cfg)
+                except SynthError:
+                    expected.append(f"dom{k}-{arch.tag}-{cfg.tag}")
+    assert "dom1-rff64b8-lr50ep80" in expected
+    assert "dom0-rff64b8-lr50ep80" not in expected
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert [str(w.message) for w in caught] == [
+        f"excluding {i}: head fit diverged: non-finite loss" for i in expected]
+    kept = [e["id"] for e in json.loads(manifest.read_text())["models"]]
+    assert len(kept) + len(expected) == 2 * len(archs) * len(grid)
+    assert not set(kept) & set(expected)
 
 
 # --- accuracy -----------------------------------------------------------------------

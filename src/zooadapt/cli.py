@@ -15,7 +15,8 @@ from pathlib import Path
 
 from .diversity import KernelConfig
 from .ensemble_adapt import (AdaptConfig, EnsembleModel, adapt,
-                             read_adapted_heads, write_adapted_heads)
+                             adapted_paths, read_adapted_heads,
+                             write_adapted_heads)
 from .errors import ZooAdaptError
 from .evaluate import (accuracy, read_labels, summary, write_eval_csv,
                        write_summary)
@@ -154,6 +155,8 @@ def cmd_adapt(args) -> int:
     cfg = AdaptConfig(gamma1=args.gamma1, gamma2=args.gamma2,
                       tau_recycle=args.tau_recycle, epochs=args.epochs,
                       lr=args.lr)
+    _refuse_directories([args.out, *(path for m in ensemble.members
+                                      for path in adapted_paths(m))])
     adapted, history = adapt(ensemble, outliers, cfg)
     history.write_csv(args.out)
     write_adapted_heads(adapted)
@@ -182,15 +185,21 @@ def cmd_eval(args) -> int:
             {r.model_id: accuracy(r.probs, labels) for r in report.rows})
     if args.summary:  # every summary error comes before either file opens
         rows = summary(report, accs, labels, selected, adapted)
-    for path in filter(None, (args.out, args.summary)):
-        if Path(path).is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
-                                    path)
+    _refuse_directories(filter(None, (args.out, args.summary)))
     write_eval_csv(args.out, report, accs)
     if args.summary:
         write_summary(args.summary, rows)
     print(f"evaluated {len(records)} models -> {args.out}")
     return 0
+
+
+def _refuse_directories(paths) -> None:
+    """Raise before a stage writes anything if one of its output paths
+    is a directory, so it does not leave some outputs behind."""
+    for path in paths:
+        if Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    path)
 
 
 if __name__ == "__main__":

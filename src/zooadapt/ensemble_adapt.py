@@ -4,8 +4,9 @@ of confident outlier predictions, and classifier-head adaptation.
 Adaptation minimizes  L_all = L_sim + gamma1 * L_pse + gamma2 * L_omr
 by full-batch gradient descent with momentum on the member heads only;
 feature matrices stay frozen. Gradients are analytic through each
-member's softmax; pseudo-labels and recycle labels are constants within
-an epoch and refreshed at every epoch boundary.
+member's softmax. Pseudo-labels are constants within an epoch and
+refreshed at every epoch boundary. The recycled outlier pairs are mined
+once per adapt: the outlier heads stay frozen and tau is fixed.
 """
 
 import csv
@@ -253,17 +254,17 @@ def adapt(e: EnsembleModel, outliers: list[ModelRecord],
     vel_w = [np.zeros_like(w) for w in heads_w]
     vel_b = [np.zeros_like(b) for b in heads_b]
     history = AdaptHistory()
-    outlier_ids = [m.model_id for m in outliers]
-    outlier_probs = [forward(m) for m in outliers]  # outlier heads stay frozen
+    # the outlier heads stay frozen and tau is fixed: one mining serves
+    # every epoch, and no outlier probabilities outlive it
+    pairs = mine_recycle_pairs([m.model_id for m in outliers],
+                               [forward(m) for m in outliers], cfg.tau_recycle)
 
     for epoch in range(cfg.epochs):
         probs = [softmax_rows(f @ w.T + b)
                  for f, w, b in zip(feats, heads_w, heads_b)]
         mixture = mix_outputs(probs, e.weights)
 
-        # refresh constants: pseudo-labels and recycled outlier pairs
-        labels = predictive_semantics(mixture)
-        pairs = mine_recycle_pairs(outlier_ids, outlier_probs, cfg.tau_recycle)
+        labels = predictive_semantics(mixture)  # refreshed every epoch
         terms, grads = objective(feats, probs, mixture, e.weights, labels,
                                  pairs, cfg)
         for name, value in zip(("L_sim", "L_pse", "L_omr"), terms):
@@ -294,7 +295,7 @@ def write_adapted_heads(e: EnsembleModel) -> list[str]:
     """Write adapted heads beside the originals with the .adapted suffix."""
     written = []
     for m in e.members:
-        wp, bp = _adapted_paths(m)
+        wp, bp = adapted_paths(m)
         write_tensor(m.weights.astype(np.float32), wp)
         write_tensor(m.bias.astype(np.float32), bp)
         written.extend([wp, bp])
@@ -305,13 +306,14 @@ def read_adapted_heads(members: list[ModelRecord]) -> list[ModelRecord]:
     """The members with the heads that write_adapted_heads left on disk."""
     adapted = []
     for m in members:
-        wp, bp = _adapted_paths(m)
+        wp, bp = adapted_paths(m)
         adapted.append(m.with_head(read_tensor(wp).astype(np.float64),
                                    read_tensor(bp).astype(np.float64)))
     return adapted
 
 
-def _adapted_paths(m: ModelRecord) -> tuple[str, str]:
+def adapted_paths(m: ModelRecord) -> tuple[str, str]:
+    """Where write_adapted_heads puts m's adapted weights and bias."""
     if m.weights_path is None or m.bias_path is None:
         raise AdaptError(f"model {m.model_id!r} has no head files")
     return (str(m.weights_path) + ADAPTED_SUFFIX,

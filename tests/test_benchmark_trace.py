@@ -12,6 +12,7 @@ import numpy as np
 
 from conftest import MINI_ARCHS, MINI_GRID, mini_scenario
 from zooadapt import synthzoo
+from zooadapt.cli import main
 
 SPANS = Path(__file__).resolve().parents[1] / "pipebench" / "spans.py"
 
@@ -101,3 +102,33 @@ def test_traced_build_fits_once_per_arch_and_config(tmp_path):
     # three tensors per model, the manifest and the labels file
     assert len(plain) == data.spec.num_domains * cells * 3 + 2
     assert written("traced") == plain
+
+
+def test_traced_adapt_mines_recycle_pairs_once(tmp_path):
+    # the outlier heads are frozen, so adapt mines its recycled pairs once
+    # for all epochs, and the wrappers change no byte that adapt writes
+    spans = _load_spans()
+    data = synthzoo.generate_scenario(mini_scenario())
+    manifest = synthzoo.build_zoo(data, MINI_ARCHS, MINI_GRID, tmp_path / "zoo")
+    sel = tmp_path / "sel.json"
+    assert main(["select", str(manifest), "-o", str(sel), "--q", "1"]) == 0
+    hist = tmp_path / "hist.csv"
+    argv = ["adapt", str(manifest), str(sel), "-o", str(hist), "--epochs", "5"]
+
+    def written():
+        adapted = sorted(manifest.parent.glob("*.adapted"))
+        return hist.read_bytes(), {p.name: p.read_bytes() for p in adapted}
+
+    assert main(argv) == 0
+    plain = written()
+    for p in manifest.parent.glob("*.adapted"):
+        p.unlink()
+    hist.unlink()
+    tracer = spans.Tracer()
+    with tracer:
+        assert main(argv) == 0
+    mined = [s for s in tracer.spans
+             if s.name == "ensemble_adapt.mine_recycle_pairs"]
+    assert len(mined) == 1
+    assert tracer.spans[mined[0].parent].name == "ensemble_adapt.adapt"
+    assert plain[1] and written() == plain

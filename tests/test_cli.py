@@ -5,6 +5,7 @@ import io
 import json
 import math
 import shlex
+import shutil
 import struct
 import sys
 from pathlib import Path
@@ -531,7 +532,8 @@ KERNEL_VALUES = {"kernel": "rbf:abc", "kernel_nan": "rbf:nan",
 NOT_UTF8 = ["labels_not_utf8", "selection_not_utf8", "scenario_not_utf8",
             "manifest_not_utf8"]
 A_DIRECTORY = ["labels_a_directory", "selection_a_directory",
-               "out_a_directory", "summary_a_directory"]
+               "out_a_directory", "summary_a_directory",
+               "adapted_a_directory"]
 
 
 @pytest.mark.parametrize("case,error", [
@@ -544,6 +546,8 @@ A_DIRECTORY = ["labels_a_directory", "selection_a_directory",
     + [(case, "ZooAdaptError") for case in NOT_UTF8]
     + [(case, "IsADirectoryError") for case in A_DIRECTORY])
 def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
+    if case == "adapted_a_directory":  # a copy keeps the shared zoo whole
+        zoo = Path(shutil.copytree(zoo.parent, tmp_path / "zoo_copy")) / zoo.name
     doc = json.loads(mini_scenario(seed=22).to_json())
     if case in SCENARIO_VALUES:
         key, value = SCENARIO_VALUES[case]
@@ -562,10 +566,20 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
     eval_out = ["-o", str(tmp_path / "eval.csv")]
     build = ["build", str(scen), str(tmp_path / "zoo")]
     sel = tmp_path / "sel.json"
-    if case in ("lr_inf", "lr_1e300"):
+    if case in ("lr_inf", "lr_1e300", "adapted_a_directory"):
         assert main(["select", str(zoo), "-o", str(sel), "--q", "1"]) == 0
         capsys.readouterr()
-    adapted = {p: p.read_bytes() for p in zoo.parent.glob("*.adapted")}
+    if case == "adapted_a_directory":
+        # earlier outputs, then the last inlier's adapted weights path
+        # becomes a directory: adapt must fail before it writes anything
+        assert main(["adapt", str(zoo), str(sel), "-o",
+                     str(tmp_path / "h0.csv"), "--epochs", "1"]) == 0
+        capsys.readouterr()
+        last = json.loads(sel.read_text())["inliers"][-1]
+        blocked = zoo.parent / f"{last}.weights.ztf.adapted"
+        blocked.unlink()
+        blocked.mkdir()
+    adapted = _adapted_digests(zoo)
     argv = {
         **{k: ["select", str(zoo), "-o", str(sel), "--kernel", v]
            for k, v in KERNEL_VALUES.items()},
@@ -593,16 +607,25 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
         "out_a_directory": ["eval", str(zoo), good_labels, "-o", str(a_dir)],
         "summary_a_directory": ["eval", str(zoo), good_labels, "--summary",
                                 str(a_dir)] + eval_out,
+        "adapted_a_directory": ["adapt", str(zoo), str(sel), "-o",
+                                str(tmp_path / "h.csv"), "--epochs", "2"],
     }.get(case, build + list(BUILD_VALUES.get(case, ())))
     line = _single_error_line(capsys, main(argv))
     assert error in line
     if case in NOT_UTF8:
         assert f"{binary}: not UTF-8 text" in line
+    if case == "adapted_a_directory":
+        assert str(blocked) in line and not any(blocked.iterdir())
     assert not (tmp_path / "zoo").exists()
     assert not (tmp_path / "est.csv").exists()
     assert not (tmp_path / "h.csv").exists()
     assert not (tmp_path / "eval.csv").exists()
-    assert {p: p.read_bytes() for p in zoo.parent.glob("*.adapted")} == adapted
+    assert _adapted_digests(zoo) == adapted
+
+
+def _adapted_digests(manifest) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in manifest.parent.glob("*.adapted") if p.is_file()}
 
 
 JSON_VALUES = st.recursive(

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import make_model, objective_term
+from zooadapt import ensemble_adapt
 from zooadapt.cli import main
 from zooadapt.ensemble_adapt import (RECYCLE_BLOCK, AdaptConfig, AdaptError,
-                                     EnsembleModel, RecyclePair, adapt,
-                                     build_ensemble, ensemble_forward,
+                                     AdaptHistory, EnsembleModel, RecyclePair,
+                                     adapt, build_ensemble, ensemble_forward,
                                      ensemble_weights, loss_ce, loss_sim,
-                                     mine_recycle_pairs)
+                                     mine_recycle_pairs, objective)
 from zooadapt.inference import forward, mix_outputs, predictive_semantics
 from zooadapt.kernels import softmax_rows
 from zooadapt.selection import SelectionResult
@@ -519,6 +520,79 @@ def test_adapt_history_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "epoch,L_sim,L_pse,L_omr,L_all"
     assert len(lines) == 3
+
+
+def adapt_mining_every_epoch(e, outliers, cfg):
+    """adapt as it was when the recycled pairs were mined again at every
+    epoch, from the same frozen outlier probabilities."""
+    heads_w = [m.weights.copy() for m in e.members]
+    heads_b = [m.bias.copy() for m in e.members]
+    feats = [np.asarray(m.features, dtype=np.float64) for m in e.members]
+    vel_w = [np.zeros_like(w) for w in heads_w]
+    vel_b = [np.zeros_like(b) for b in heads_b]
+    history = AdaptHistory()
+    outlier_ids = [m.model_id for m in outliers]
+    outlier_probs = [forward(m) for m in outliers]
+
+    for epoch in range(cfg.epochs):
+        probs = [softmax_rows(f @ w.T + b)
+                 for f, w, b in zip(feats, heads_w, heads_b)]
+        mixture = mix_outputs(probs, e.weights)
+        labels = predictive_semantics(mixture)
+        pairs = mine_recycle_pairs(outlier_ids, outlier_probs, cfg.tau_recycle)
+        terms, grads = objective(feats, probs, mixture, e.weights, labels,
+                                 pairs, cfg)
+        for name, value in zip(("L_sim", "L_pse", "L_omr"), terms):
+            if not np.isfinite(value):
+                raise AdaptError(f"non-finite loss term {name} at epoch {epoch}")
+        l_sim, l_pse, l_omr = terms
+        history.append(epoch, l_sim, l_pse, l_omr,
+                       l_sim + cfg.gamma1 * l_pse + cfg.gamma2 * l_omr)
+
+        for j, (g_w, g_b) in enumerate(grads):
+            vel_w[j] = cfg.momentum * vel_w[j] + g_w
+            vel_b[j] = cfg.momentum * vel_b[j] + g_b
+            heads_w[j] = heads_w[j] - cfg.lr * vel_w[j]
+            heads_b[j] = heads_b[j] - cfg.lr * vel_b[j]
+    return heads_w, heads_b, history
+
+
+def _recycling_zoo(n=30):
+    """Three inliers and 20 outliers, more than one block, on one n-row
+    target; the outliers' sharp heads give recycled pairs from several
+    blocks."""
+    members = [make_model(f"in{k}", seed=40 + k, n=n) for k in range(3)]
+    others = [make_model(f"out{k:02d}", seed=60 + k, n=n, spread=6.0)
+              for k in range(20)]
+    for m in others:
+        m.weights[:] *= 4.0
+    return build_ensemble(members, [0.2, -0.1, 0.4]), others
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 5])
+def test_adapt_mines_once_and_matches_per_epoch_mining(epochs, monkeypatch):
+    e, outliers = _recycling_zoo()
+    assert len(outliers) > RECYCLE_BLOCK
+    cfg = AdaptConfig(epochs=epochs, lr=0.05)
+    pairs = mine_recycle_pairs([m.model_id for m in outliers],
+                               [forward(m) for m in outliers], cfg.tau_recycle)
+    ranks = sorted(m.model_id for m in outliers)
+    assert len({ranks.index(p.model_id) // RECYCLE_BLOCK for p in pairs}) > 1
+    want_w, want_b, want_history = adapt_mining_every_epoch(e, outliers, cfg)
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mine_recycle_pairs(*args)
+
+    monkeypatch.setattr(ensemble_adapt, "mine_recycle_pairs", counted)
+    adapted, history = adapt(e, outliers, cfg)
+    assert len(calls) == 1
+    assert history.rows == want_history.rows and len(history.rows) == epochs
+    assert all(r["L_omr"] > 0 for r in history.rows)
+    for m, w, b in zip(adapted.members, want_w, want_b):
+        assert np.array_equal(m.weights, w) and np.array_equal(m.bias, b)
 
 
 # --- distribution-level properties ----------------------------------------------------

@@ -1,7 +1,9 @@
 """Synthetic multi-domain benchmark: class-conditional Gaussian domains
 under rigid-transform shift, frozen randomized feature maps standing in
 for distinct architectures, and a zoo builder that trains one linear
-head per (domain, arch, config) cell.
+head per (domain, arch, config) cell. The heads of one (domain, arch)
+share its frozen extractor, so the builder writes that pair's target
+features once and every entry of the pair names the one file.
 
 The builder writes the target labels to their own file and never reads
 them back; evaluate.py is the only module that does.
@@ -338,15 +340,20 @@ def _model_id(domain: int, arch: ArchSpec, cfg: TrainConfig) -> str:
     return f"dom{domain}-{arch.tag}-{cfg.tag}"
 
 
-def _tensor_names(model_id: str) -> dict[str, str]:
-    return {key: f"{model_id}.{key}.ztf"
-            for key in ("features", "weights", "bias")}
+def _features_name(domain: int, arch: ArchSpec) -> str:
+    return f"dom{domain}-{arch.tag}.features.ztf"
+
+
+def _head_names(model_id: str) -> dict[str, str]:
+    return {key: f"{model_id}.{key}.ztf" for key in ("weights", "bias")}
 
 
 def _fit_arch(scenario: ScenarioData, arch: ArchSpec, labels: np.ndarray,
               configs: list[TrainConfig], out: Path) -> set[str]:
     """Map every domain through one arch, fit its heads for all domains
-    at once per config, and write the tensors of each head that
+    at once per config, and write the head of each fit that converged.
+    Each domain's target features are written once, to the file every
+    config's entry names, and only if at least one of its heads
     converged. Returns the ids of the heads that diverged."""
     sources, targets = [], []
     for x in scenario.domain_x:
@@ -356,17 +363,20 @@ def _fit_arch(scenario: ScenarioData, arch: ArchSpec, labels: np.ndarray,
     src = np.stack(sources)
     del sources, tgt  # only the stack and the float32 targets stay live
     diverged = set()
+    converged = set()
     for cfg in configs:
         w, b, loss = fit_head(src, labels, scenario.spec.num_classes, cfg)
-        for k, tgt in enumerate(targets):
+        for k in range(len(targets)):
             model_id = _model_id(k, arch, cfg)
             if not np.isfinite(loss[k]):
                 diverged.add(model_id)
                 continue
-            names = _tensor_names(model_id)
-            write_tensor(tgt, out / names["features"])
+            converged.add(k)
+            names = _head_names(model_id)
             write_tensor(w[k].astype(np.float32), out / names["weights"])
             write_tensor(b[k].astype(np.float32), out / names["bias"])
+    for k in sorted(converged):
+        write_tensor(targets[k], out / _features_name(k, arch))
     return diverged
 
 
@@ -374,9 +384,10 @@ def build_zoo(scenario: ScenarioData, archs: list[ArchSpec],
               configs: list[TrainConfig], out_dir) -> Path:
     """Write tensors, the eval-only label file, and the manifest.
 
-    One model per (domain, arch, config) cell. Models whose head fit
-    diverges are excluded with a warning. Cells whose ids collide are
-    refused before anything is written.
+    One model per (domain, arch, config) cell, with its own head files;
+    the cells of one (domain, arch) name one features file. Models whose
+    head fit diverges are excluded with a warning. Cells whose ids
+    collide are refused before anything is written.
     """
     spec = scenario.spec
     seen = set()
@@ -411,7 +422,8 @@ def build_zoo(scenario: ScenarioData, archs: list[ArchSpec],
                     continue
                 entries.append({
                     "id": model_id, "domain": f"dom{k}", "arch": arch.tag,
-                    **_tensor_names(model_id),
+                    "features": _features_name(k, arch),
+                    **_head_names(model_id),
                     "meta": {"lr": repr(cfg.lr), "epochs": str(cfg.epochs),
                              "momentum": repr(cfg.momentum), "l2": repr(cfg.l2),
                              "optimizer": "momentum-gd"},

@@ -7,6 +7,11 @@ halves the zoo's largest arrays in memory, and promotes its head to
 float64 because adaptation updates it. All arithmetic runs in float64:
 every use of the features promotes them first, so logits, entropies and
 kernel sums accumulate in 64-bit.
+
+Several manifest entries may name one features file (the models of one
+domain and arch share their frozen extractor's target features). The
+loader reads each distinct features file once and gives every record
+that names it the same read-only array.
 """
 
 import json
@@ -103,7 +108,9 @@ class ModelRecord:
     features is n x d_m, weights C x d_m, bias length C; d_m may differ
     across records, n and C may not. Loaded features stay float32 as
     stored and the head is float64; all arithmetic on them is float64.
-    Arrays are treated as immutable after load. weights_path and
+    Arrays are treated as immutable after load; loaded features are
+    read-only, since records whose entries name one features file share
+    one array. weights_path and
     bias_path name the head's files when the record was loaded from a
     manifest.
     """
@@ -151,7 +158,10 @@ def save_manifest(path, models: list[dict], target: dict) -> None:
 
 
 def load_zoo(manifest_path) -> tuple[list[ModelRecord], TargetBundle]:
-    """Load and validate a zoo: consistent n and C, unique ids, files parse."""
+    """Load and validate a zoo: consistent n and C, unique ids, files parse.
+
+    Each distinct features file is read once; the records that name it
+    share that read-only array, and each is checked against it."""
     manifest_path = Path(manifest_path)
     try:
         doc = json.loads(read_text(manifest_path))
@@ -178,6 +188,7 @@ def load_zoo(manifest_path) -> tuple[list[ModelRecord], TargetBundle]:
     base = manifest_path.parent
     records: list[ModelRecord] = []
     seen: set[str] = set()
+    features: dict[Path, np.ndarray] = {}
     models = doc.get("models", [])
     if not isinstance(models, list):
         raise ManifestError(f"{manifest_path}: models must be a list")
@@ -201,8 +212,12 @@ def load_zoo(manifest_path) -> tuple[list[ModelRecord], TargetBundle]:
             p = base / entry[key]
             if not p.is_file():
                 raise ManifestError(f"model {mid!r}: missing file {p}")
-            arrays[key] = read_tensor(p)
-        feats = arrays["features"]
+            if key != "features":
+                arrays[key] = read_tensor(p)
+            elif p not in features:
+                features[p] = read_tensor(p)
+                features[p].flags.writeable = False
+        feats = features[base / entry["features"]]
         w = arrays["weights"].astype(np.float64)
         b = arrays["bias"].astype(np.float64)
         if feats.ndim != 2 or w.ndim != 2 or b.ndim != 1:

@@ -99,8 +99,10 @@ def test_traced_build_fits_once_per_arch_and_config(tmp_path):
         return {p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
 
     plain = written("plain")
-    # three tensors per model, the manifest and the labels file
-    assert len(plain) == data.spec.num_domains * cells * 3 + 2
+    # one features file per (domain, arch), a head's two tensors per
+    # model, the manifest and the labels file
+    assert len(plain) == data.spec.num_domains * len(MINI_ARCHS) * (
+        1 + 2 * len(grid)) + 2
     assert written("traced") == plain
 
 

@@ -91,34 +91,35 @@ def test_eval_with_labels_has_accuracy_and_summary(zoo, tmp_path):
 
 # SHA-256 of every file the `zoo` fixture's build writes (mini_scenario
 # seed 21, MINI_ARCHS, MINI_GRID), recorded like PIPELINE_DIGESTS. They
-# pin the fitted heads directly, not only through what adapt makes of them.
+# pin the fitted heads directly, not only through what adapt makes of them,
+# and the one features file that each (domain, arch) writes.
 BUILD_DIGESTS = {
     "dom0-identity-lr0.5ep80.bias.ztf":
         "becd8b461bbb4d6bc66e6a67f9d04d75503593000757f7faf78111a77bae5be7",
-    "dom0-identity-lr0.5ep80.features.ztf":
+    "dom0-identity.features.ztf":
         "bcf5ad30e8a5ece1060ddd83587e11a6b649a45283c464f5e09391f8286e4a38",
     "dom0-identity-lr0.5ep80.weights.ztf":
         "15c510f065046f4d390416cddc3763d01bec8ae35e8368af642da62cf588526e",
     "dom0-proj3-lr0.5ep80.bias.ztf":
         "0e790faddb8693a24ad40830d9e45a497473e603ef61b5020d0e1616da738eff",
-    "dom0-proj3-lr0.5ep80.features.ztf":
+    "dom0-proj3.features.ztf":
         "985e7ce7474da98cb379f6e7f6a97009d0cb6fcb11aeb84149d4cfc5a8e92e4d",
     "dom0-proj3-lr0.5ep80.weights.ztf":
         "02c7808c941016c41aa054ab843365f4697991b7eaba57a03d2ac05e20dfc92b",
     "dom1-identity-lr0.5ep80.bias.ztf":
         "3309d74423b0897d6583d29f4ff7a5dd43dc6dd52005c8ed07d5e36e5383ac7e",
-    "dom1-identity-lr0.5ep80.features.ztf":
+    "dom1-identity.features.ztf":
         "3e2c83acd5249b79e93f8d84440a7b7f614b992fd6d56f94eb2d16e63cd87d42",
     "dom1-identity-lr0.5ep80.weights.ztf":
         "fd9dbf16a709f77f3e51f0dd25f955e237c759266e8b6040660464edce4d7bcd",
     "dom1-proj3-lr0.5ep80.bias.ztf":
         "f424b79c030f7ea549ccb2f6d33f3671a1cad212f66872cbc1092e26bf52801c",
-    "dom1-proj3-lr0.5ep80.features.ztf":
+    "dom1-proj3.features.ztf":
         "dca85275d0db3e2b1e93522ccd1df9593abaa4395dc709984ca9d114300cb2be",
     "dom1-proj3-lr0.5ep80.weights.ztf":
         "be7dd936ac43609968581aef5e61b657e373a526542551e0802ca35ee591f82c",
     "manifest.json":
-        "d1a10c6fdaaeb9ea820a935e29b93b8b160d439a3d77d1fe49fd43ee2942f28f",
+        "178ddb634578eab2ddfa9766d8960c32637d976ff91da2257bfe1d80a59768ca",
     "target_labels.txt":
         "0c1696ff700982502d61607cc807ffa581b7786a3dbc6577706a176dcbe0bc4c",
 }

@@ -17,7 +17,7 @@ from zooadapt.synthzoo import (ArchSpec, DomainTransform, ScenarioSpec,
                                build_zoo, fit_head, generate_scenario,
                                map_features, reference_archs, reference_grid,
                                reference_scenario, rotation_matrix)
-from zooadapt.tensorio import load_zoo
+from zooadapt.tensorio import load_zoo, write_tensor
 
 
 # --- scenario generation --------------------------------------------------------
@@ -286,6 +286,47 @@ def test_build_excludes_diverged_heads_with_only_their_warning(tmp_path):
     kept = [e["id"] for e in json.loads(manifest.read_text())["models"]]
     assert len(kept) + len(expected) == 2 * len(archs) * len(grid)
     assert not set(kept) & set(expected)
+
+
+def _features_files(out):
+    return sorted(p.name for p in out.glob("*.features.ztf"))
+
+
+def test_build_writes_one_features_file_per_domain_and_arch(tmp_path):
+    data = generate_scenario(mini_scenario(seed=5))
+    grid = MINI_GRID + [TrainConfig(lr=0.05, epochs=15)]
+    out = tmp_path / "zoo"
+    entries = json.loads(build_zoo(data, MINI_ARCHS, grid, out)
+                         .read_text())["models"]
+    assert len(entries) == 2 * len(MINI_ARCHS) * len(grid)
+    names = []
+    for k, x in enumerate(data.domain_x):
+        for arch in MINI_ARCHS:
+            name = f"dom{k}-{arch.tag}.features.ztf"
+            names.append(name)
+            want = tmp_path / "want.ztf"
+            write_tensor(map_features(arch, x, data.target_x)[1]
+                         .astype(np.float32), want)
+            assert (out / name).read_bytes() == want.read_bytes()
+            assert [e["features"] for e in entries
+                    if (e["domain"], e["arch"]) == (f"dom{k}", arch.tag)] \
+                == [name] * len(grid)
+    assert _features_files(out) == sorted(names)
+
+
+def test_build_writes_features_only_beside_a_converged_head(tmp_path):
+    # at lr=50 only dom1's rff64b8 head diverges, at lr=1000 both do
+    data = generate_scenario(mini_scenario(seed=5))
+    arch = ArchSpec(kind="rff", dim=64, bandwidth=8.0, seed=3)
+    grid = [TrainConfig(lr=50, epochs=80), TrainConfig(lr=1000, epochs=80)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        manifest = build_zoo(data, [arch], grid, tmp_path)
+    kept = json.loads(manifest.read_text())["models"]
+    assert [(e["id"], e["features"]) for e in kept] == [
+        ("dom0-rff64b8-lr50ep80", "dom0-rff64b8.features.ztf")]
+    assert _features_files(tmp_path) == ["dom0-rff64b8.features.ztf"]
+    assert [m.model_id for m in load_zoo(manifest)[0]] == [kept[0]["id"]]
 
 
 # --- accuracy -----------------------------------------------------------------------

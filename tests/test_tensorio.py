@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zooadapt.sute import SuteConfig, sute_score
+from conftest import MINI_ARCHS, MINI_GRID, mini_scenario
+from zooadapt import tensorio
+from zooadapt.sute import SuteConfig, score_zoo, sute_score
+from zooadapt.synthzoo import TrainConfig, build_zoo, generate_scenario
 from zooadapt.tensorio import (BadMagicError, DimOverflowError, ManifestError,
                                NonFiniteValueError, PayloadLengthError,
                                load_zoo, read_tensor, save_manifest,
@@ -168,3 +171,73 @@ def test_loader_never_opens_labels_file(tmp_path):
     assert not (tmp_path / "absent.txt").exists()
     records, _ = load_zoo(manifest)
     assert len(records) == 2
+
+
+# --- shared features --------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def shared_zoo(tmp_path_factory):
+    """A built zoo whose two configs per (domain, arch) name one features file."""
+    grid = MINI_GRID + [TrainConfig(lr=0.05, epochs=15)]
+    return build_zoo(generate_scenario(mini_scenario()), MINI_ARCHS, grid,
+                     tmp_path_factory.mktemp("shared_zoo"))
+
+
+def test_records_naming_one_features_file_share_its_array(shared_zoo):
+    records, _ = load_zoo(shared_zoo)
+    entries = json.loads(shared_zoo.read_text())["models"]
+    groups = {}
+    for e, m in zip(entries, records):
+        groups.setdefault(e["features"], []).append(m)
+    assert len(groups) == 4 and len(records) == 8
+    for members in groups.values():
+        assert len(members) == 2
+        assert all(m.features is members[0].features for m in members)
+    firsts = [members[0].features for members in groups.values()]
+    assert len({id(f) for f in firsts}) == len(firsts)
+
+
+def test_each_distinct_file_is_read_once(shared_zoo, monkeypatch):
+    reads = []
+    real = tensorio.read_tensor
+
+    def counting(path):
+        reads.append(Path(path).name)
+        return real(path)
+
+    monkeypatch.setattr(tensorio, "read_tensor", counting)
+    load_zoo(shared_zoo)
+    entries = json.loads(shared_zoo.read_text())["models"]
+    assert sorted(reads) == sorted(
+        {e["features"] for e in entries}
+        | {e[k] for e in entries for k in ("weights", "bias")})
+
+
+def test_loaded_features_are_read_only(shared_zoo):
+    records, _ = load_zoo(shared_zoo)
+    with pytest.raises(ValueError):
+        records[0].features[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        records[-1].features += 1.0
+
+
+def test_one_features_file_per_entry_loads_and_scores_the_same(shared_zoo,
+                                                               tmp_path):
+    # the earlier layout: each entry names its own copy of the features
+    doc = json.loads(shared_zoo.read_text())
+    for entry in doc["models"]:
+        for key in ("features", "weights", "bias"):
+            name = f"{entry['id']}.{key}.ztf"
+            (tmp_path / name).write_bytes(
+                (shared_zoo.parent / entry[key]).read_bytes())
+            entry[key] = name
+    old = tmp_path / "manifest.json"
+    old.write_text(json.dumps(doc, indent=2) + "\n")
+    shared, target = load_zoo(shared_zoo)
+    copies, _ = load_zoo(old)
+    assert len({id(m.features) for m in copies}) == len(copies)
+    cfg = SuteConfig.default(target.num_classes)
+    for a, b in zip(score_zoo(shared, cfg).rows, score_zoo(copies, cfg).rows):
+        assert a == b  # ids and score components
+        assert np.array_equal(a.probs, b.probs)
+        assert np.array_equal(a.structural, b.structural)

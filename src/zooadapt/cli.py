@@ -10,7 +10,6 @@ import argparse
 import errno
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .diversity import KernelConfig
@@ -23,7 +22,8 @@ from .evaluate import (accuracy, read_labels, summary, write_eval_csv,
 from .selection import SelectionResult, select
 from .sute import SuteConfig, score_zoo
 from .synthzoo import (REFERENCE_ARCHS, REFERENCE_GRID, ScenarioSpec,
-                       build_zoo, generate_scenario, parse_archs, parse_grid)
+                       SynthError, build_zoo, generate_scenario, parse_archs,
+                       parse_grid)
 from .tensorio import load_zoo, read_text
 
 
@@ -51,17 +51,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated arch tokens")
     p.add_argument("--grid", default=REFERENCE_GRID,
                    help="semicolon-separated train configs")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the scenario seed")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("estimate", help="score every model in a zoo")
     p.add_argument("manifest")
     p.add_argument("-o", "--out", required=True, help="report CSV path")
-    p.add_argument("--lambda1", type=float, default=1.0)
-    p.add_argument("--lambda2", type=float, default=1.0)
-    p.add_argument("--tau-h", type=float, default=None)
-    p.add_argument("--tau-l", type=float, default=None)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("select", help="split a zoo into inliers and outliers")
@@ -69,11 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True, help="selection JSON path")
     p.add_argument("--q", type=int, default=2, help="diversity-set size")
     p.add_argument("--kernel", default="rbf",
-                   help="rbf, rbf:<bandwidth>, or linear")
-    p.add_argument("--lambda1", type=float, default=1.0)
-    p.add_argument("--lambda2", type=float, default=1.0)
-    p.add_argument("--tau-h", type=float, default=None)
-    p.add_argument("--tau-l", type=float, default=None)
+                   help="rbf or linear")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("adapt", help="adapt the selected classifier heads")
@@ -110,8 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_build(args) -> int:
     spec = ScenarioSpec.from_json(read_text(args.scenario))
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
     archs = parse_archs(args.archs, spec.seed)
     scenario = generate_scenario(spec)
     manifest = build_zoo(scenario, archs, parse_grid(args.grid), args.out_dir)
@@ -119,17 +107,9 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _sute_config(args, num_classes: int) -> SuteConfig:
-    cfg = SuteConfig.default(num_classes, lambda1=args.lambda1,
-                             lambda2=args.lambda2)
-    return replace(cfg, tau_h=cfg.tau_h if args.tau_h is None else args.tau_h,
-                   tau_l=cfg.tau_l if args.tau_l is None else args.tau_l)
-
-
 def cmd_estimate(args) -> int:
     records, target = load_zoo(args.manifest)
-    cfg = _sute_config(args, target.num_classes)
-    report = score_zoo(records, cfg)
+    report = score_zoo(records, SuteConfig.default(target.num_classes))
     report.write_csv(args.out)
     print(f"estimated {len(records)} models -> {args.out}")
     return 0
@@ -137,8 +117,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_select(args) -> int:
     records, target = load_zoo(args.manifest)
-    cfg = _sute_config(args, target.num_classes)
-    result = select(records, cfg, q=args.q, kc=KernelConfig.parse(args.kernel))
+    result = select(records, SuteConfig.default(target.num_classes), q=args.q,
+                    kc=KernelConfig.parse(args.kernel))
     result.write_json(args.out)
     print(f"inliers={len(result.inliers)} outliers={len(result.outliers)} "
           f"-> {args.out}")
@@ -172,6 +152,9 @@ def cmd_eval(args) -> int:
     records, target = load_zoo(args.manifest)
     labels = (read_labels(args.labels, target.num_classes)
               if args.labels else None)
+    if labels is not None and len(labels) != target.n:
+        raise SynthError(f"{args.labels}: expected {target.n} labels, "
+                         f"got {len(labels)}")
     selected = adapted = None
     if args.selection:
         sel = SelectionResult.from_json(read_text(args.selection))

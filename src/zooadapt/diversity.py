@@ -7,7 +7,6 @@ Each model enters through one centered factor (see centered_factor), and
 every HSIC value is an inner product of two factors.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,35 +21,27 @@ class DiversityError(ZooAdaptError):
 
 @dataclass(frozen=True)
 class KernelConfig:
-    kind: str = "rbf"  # "rbf" or "linear"
-    bandwidth: float | None = None  # None -> median heuristic (rbf only)
+    """The HSIC kernel: "rbf", whose bandwidth is the median heuristic
+    taken from each model's predictions, or "linear"."""
+    kind: str = "rbf"
 
     def __post_init__(self):
         if self.kind not in ("rbf", "linear"):
             raise DiversityError(f"unknown kernel kind {self.kind!r}")
-        if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
-            raise DiversityError("fixed bandwidth must be finite and > 0")
 
     @classmethod
     def parse(cls, token: str) -> "KernelConfig":
-        """Parse CLI tokens: rbf, rbf:<bandwidth>, linear."""
-        kind, sep, bandwidth = token.strip().partition(":")
-        if sep and kind == "rbf":
-            try:
-                return cls(kind="rbf", bandwidth=float(bandwidth))
-            except ValueError:
-                pass
-        elif not sep and kind in ("rbf", "linear"):
-            return cls(kind=kind)
-        raise DiversityError(f"cannot parse kernel {token!r}")
+        """Parse a CLI token: rbf or linear."""
+        return cls(kind=token.strip())
 
 
 def centered_factor(p: np.ndarray, kc: KernelConfig = KernelConfig()) -> np.ndarray:
     """One model's centered HSIC factor, built from its n x C predictions.
 
     linear: the centered predictions H P (n x C), since H K H = (HP)(HP)^T;
-    rbf: the centered gram H K H (n x n). Built in place, so at most one
-    n x n temporary lives beside the gram.
+    rbf: the centered gram H K H (n x n), with the bandwidth set to the
+    median distance between distinct rows (1 if that median is 0). Built
+    in place, so at most one n x n temporary lives beside the gram.
     """
     p = np.asarray(p, dtype=np.float64)
     n = p.shape[0]
@@ -59,15 +50,12 @@ def centered_factor(p: np.ndarray, kc: KernelConfig = KernelConfig()) -> np.ndar
     if kc.kind == "linear":
         return p - p.mean(axis=0)
     g = pairwise_sq_dists(p)
-    if kc.bandwidth is not None:
-        bw = kc.bandwidth
-    else:
-        upper = np.arange(n)[:, None] < np.arange(n)
-        dists = g[upper]
-        np.sqrt(dists, out=dists)
-        bw = float(np.median(dists, overwrite_input=True))
-        if bw == 0.0:
-            bw = 1.0
+    upper = np.arange(n)[:, None] < np.arange(n)
+    dists = g[upper]
+    np.sqrt(dists, out=dists)
+    bw = float(np.median(dists, overwrite_input=True))
+    if bw == 0.0:
+        bw = 1.0
     np.negative(g, out=g)
     np.divide(g, 2.0 * bw * bw, out=g)
     np.exp(g, out=g)

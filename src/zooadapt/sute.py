@@ -43,12 +43,10 @@ class SuteConfig:
             raise SuteError(f"need tau_l < tau_h, got {self.tau_l} >= {self.tau_h}")
 
     @classmethod
-    def default(cls, num_classes: int, lambda1: float = 1.0,
-                lambda2: float = 1.0) -> "SuteConfig":
+    def default(cls, num_classes: int) -> "SuteConfig":
         """Clips scale with ln C so the dispersity band adapts to class count."""
         ln_c = math.log(num_classes)
-        return cls(lambda1=lambda1, lambda2=lambda2,
-                   tau_h=0.9 * ln_c, tau_l=0.1 * ln_c)
+        return cls(tau_h=0.9 * ln_c, tau_l=0.1 * ln_c)
 
     def check_class_count(self, num_classes: int) -> None:
         if self.tau_h > math.log(num_classes) + 1e-12:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .ensemble_adapt import ADAPTED_SUFFIX
 from .errors import ZooAdaptError
 from .kernels import softmax_rows
 from .tensorio import save_manifest, write_tensor
@@ -387,7 +388,9 @@ def build_zoo(scenario: ScenarioData, archs: list[ArchSpec],
     One model per (domain, arch, config) cell, with its own head files;
     the cells of one (domain, arch) name one features file. Models whose
     head fit diverges are excluded with a warning. Cells whose ids
-    collide are refused before anything is written.
+    collide are refused before anything is written. Adapted heads that
+    an earlier build's zoo left in out_dir are deleted, so that no stage
+    reads them as adapted from this build's heads.
     """
     spec = scenario.spec
     seen = set()
@@ -401,6 +404,8 @@ def build_zoo(scenario: ScenarioData, archs: list[ArchSpec],
                 seen.add(model_id)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for stale in out.glob("*.ztf" + ADAPTED_SUFFIX):
+        stale.unlink()
 
     labels_name = "target_labels.txt"
     (out / labels_name).write_text(

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import copy
+import csv
 import hashlib
 import io
 import json
@@ -10,16 +12,18 @@ import struct
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MINI_ARCHS, MINI_GRID, mini_scenario
-from zooadapt.cli import main
+from zooadapt.cli import _build_parser, main
 from zooadapt.inference import forward
 from zooadapt.synthzoo import (ArchSpec, DomainTransform, ScenarioSpec,
                                TrainConfig, build_zoo, generate_scenario,
                                reference_scenario)
+from zooadapt.tensorio import read_tensor, write_tensor
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -251,6 +255,80 @@ def test_adapt_writes_adapted_tensors(zoo, tmp_path):
             assert (zoo.parent / (entry["bias"] + ".adapted")).exists()
 
 
+def test_rebuild_deletes_adapted_heads_of_the_earlier_zoo(tmp_path, capsys):
+    """A build into a directory that holds an earlier zoo's adapted heads
+    deletes them, so that eval --adapted cannot score them as adapted
+    from the new heads."""
+    scen, out, sel = tmp_path / "scen.json", tmp_path / "zoo", tmp_path / "sel.json"
+    manifest = out / "manifest.json"
+    build = ["build", str(scen), str(out), "--archs", "identity,proj-3",
+             "--grid", "lr=0.5,epochs=40"]
+    scen.write_text(mini_scenario(seed=21).to_json())
+    assert main(build) == 0
+    assert main(["select", str(manifest), "-o", str(sel), "--q", "1"]) == 0
+    assert main(["adapt", str(manifest), str(sel), "-o",
+                 str(tmp_path / "h.csv"), "--epochs", "1"]) == 0
+    assert list(out.glob("*.adapted"))
+    scen.write_text(mini_scenario(seed=22).to_json())
+    assert main(build) == 0
+    assert not list(out.glob("*.adapted"))
+    capsys.readouterr()
+    ev, summ = tmp_path / "eval.csv", tmp_path / "sum.csv"
+    rc = main(["eval", str(manifest), str(out / "target_labels.txt"), str(sel),
+               "-o", str(ev), "--summary", str(summ), "--adapted"])
+    assert "error: missing file: " in _single_error_line(capsys, rc)
+    assert not ev.exists() and not summ.exists()
+
+
+def test_estimate_select_and_eval_give_each_model_one_score(zoo, tmp_path):
+    """The three scoring stages, run with their defaults, give each model
+    the same sute: a rejected model is -inf in both CSVs and absent from
+    the selection's sutes, which holds every other model's score."""
+    doc = _absolute_manifest(zoo)
+    collapsed = dict(doc["models"][0], id="collapsed",
+                     weights=str(tmp_path / "collapsed.weights.ztf"),
+                     bias=str(tmp_path / "collapsed.bias.ztf"))
+    write_tensor(np.zeros_like(read_tensor(doc["models"][0]["weights"])),
+                 collapsed["weights"])
+    write_tensor(np.array([50.0, 0.0, 0.0]), collapsed["bias"])
+    doc["models"].append(collapsed)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    est, sel, ev = tmp_path / "est.csv", tmp_path / "sel.json", tmp_path / "ev.csv"
+    assert main(["estimate", str(manifest), "-o", str(est)]) == 0
+    assert main(["select", str(manifest), "-o", str(sel)]) == 0
+    assert main(["eval", str(manifest), "-o", str(ev)]) == 0
+
+    def sutes(path):
+        with open(path, newline="") as fh:
+            return {row["model_id"]: row["sute"] for row in csv.DictReader(fh)}
+
+    estimated = sutes(est)
+    assert estimated == sutes(ev)
+    assert estimated["collapsed"] == "-inf"
+    assert json.loads(sel.read_text())["sutes"] == {
+        mid: float(v) for mid, v in estimated.items() if v != "-inf"}
+
+
+# Every option string of each subcommand. A new flag lands only with an
+# edit here: each one lets some stage run with a value the others ignore.
+CLI_FLAGS = {
+    "build": ["-h", "--help", "--archs", "--grid"],
+    "estimate": ["-h", "--help", "-o", "--out"],
+    "select": ["-h", "--help", "-o", "--out", "--q", "--kernel"],
+    "adapt": ["-h", "--help", "-o", "--out", "--gamma1", "--gamma2",
+              "--tau-recycle", "--epochs", "--lr", "--labels"],
+    "eval": ["-h", "--help", "-o", "--out", "--summary", "--adapted"],
+}
+
+
+def test_cli_flag_set_is_pinned():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {name: [s for a in p._actions for s in a.option_strings]
+            for name, p in sub.choices.items()} == CLI_FLAGS
+
+
 def test_missing_manifest_reports_error(tmp_path, capsys):
     rc = main(["estimate", str(tmp_path / "nope.json"),
                "-o", str(tmp_path / "x.csv")])
@@ -265,20 +343,13 @@ def test_unknown_flag_exits_nonzero(zoo):
 
 
 def test_select_kernel_flag_variants(zoo, tmp_path):
-    for i, kernel in enumerate(("rbf", "linear", "rbf:0.5")):
+    for i, kernel in enumerate(("rbf", "linear")):
         out = tmp_path / f"sel{i}.json"
         assert main(["select", str(zoo), "-o", str(out),
                      "--kernel", kernel]) == 0
     bad = main(["select", str(zoo), "-o", str(tmp_path / "bad.json"),
                 "--kernel", "sigmoid"])
     assert bad != 0
-
-
-def test_estimate_tau_overrides(zoo, tmp_path):
-    out = tmp_path / "est.csv"
-    rc = main(["estimate", str(zoo), "-o", str(out),
-               "--tau-l", "0.0001", "--tau-h", "1.0"])
-    assert rc == 0
 
 
 def _single_error_line(capsys, rc) -> str:
@@ -527,8 +598,7 @@ BUILD_VALUES = {"epochs_negative": ("--grid", "epochs=-3"),
                 "ids_collide_archs": ("--archs", "proj-3,proj-3"),
                 "proj_dim_zero": ("--archs", "proj-0"),
                 "rff_dim_zero": ("--archs", "identity,rff-0-2.0")}
-KERNEL_VALUES = {"kernel": "rbf:abc", "kernel_nan": "rbf:nan",
-                 "kernel_inf": "rbf:inf"}
+KERNEL_VALUES = {"kernel": "rbf:abc", "kernel_bandwidth": "rbf:0.5"}
 # input files that are not UTF-8 text, and paths that name a directory
 NOT_UTF8 = ["labels_not_utf8", "selection_not_utf8", "scenario_not_utf8",
             "manifest_not_utf8"]
@@ -540,9 +610,8 @@ A_DIRECTORY = ["labels_a_directory", "selection_a_directory",
 @pytest.mark.parametrize("case,error", [
     *[(case, "DiversityError") for case in KERNEL_VALUES], ("archs", "SynthError"),
     ("grid", "SynthError"), ("labels", "SynthError"),
-    ("scenario", "SynthError"), ("seed_flag_negative", "SynthError"),
-    ("lambda1_nan", "SuteError"), ("lr_inf", "AdaptError"),
-    ("lr_1e300", "AdaptError")]
+    ("labels_wrong_count", "SynthError"), ("scenario", "SynthError"),
+    ("lr_inf", "AdaptError"), ("lr_1e300", "AdaptError")]
     + [(case, "SynthError") for case in [*SCENARIO_VALUES, *BUILD_VALUES]]
     + [(case, "ZooAdaptError") for case in NOT_UTF8]
     + [(case, "IsADirectoryError") for case in A_DIRECTORY])
@@ -564,6 +633,9 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
     a_dir = tmp_path / "a_dir"
     a_dir.mkdir()
     good_labels = str(zoo.parent / "target_labels.txt")
+    n = len(Path(good_labels).read_text().split())
+    short = tmp_path / "short.txt"
+    short.write_text("0\n" * (n - 1))
     eval_out = ["-o", str(tmp_path / "eval.csv")]
     build = ["build", str(scen), str(tmp_path / "zoo")]
     sel = tmp_path / "sel.json"
@@ -588,10 +660,8 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
         "grid": build + ["--grid", "lr=0.5,epochs=x"],
         "labels": ["eval", str(zoo), str(labels), "-o",
                    str(tmp_path / "eval.csv")],
+        "labels_wrong_count": ["eval", str(zoo), str(short)] + eval_out,
         "scenario": ["build", str(not_json), str(tmp_path / "zoo")],
-        "seed_flag_negative": build + ["--seed", "-1"],
-        "lambda1_nan": ["estimate", str(zoo), "-o", str(tmp_path / "est.csv"),
-                        "--lambda1", "nan"],
         "lr_inf": ["adapt", str(zoo), str(sel), "-o", str(tmp_path / "h.csv"),
                    "--lr", "inf", "--epochs", "1"],
         "lr_1e300": ["adapt", str(zoo), str(sel), "-o", str(tmp_path / "h.csv"),
@@ -615,6 +685,8 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
     assert error in line
     if case in NOT_UTF8:
         assert f"{binary}: not UTF-8 text" in line
+    if case == "labels_wrong_count":
+        assert f"{short}: expected {n} labels, got {n - 1}" in line
     if case == "adapted_a_directory":
         assert str(blocked) in line and not any(blocked.iterdir())
     assert not (tmp_path / "zoo").exists()

@@ -65,14 +65,6 @@ def test_rbf_matches_direct_computation():
     assert hsic_p(pa, pb) == pytest.approx(expected, abs=1e-12)
 
 
-def test_fixed_bandwidth_respected():
-    rng = np.random.default_rng(3)
-    pa = rng.dirichlet(np.ones(3), size=6)
-    v1 = hsic_p(pa, pa, KernelConfig(kind="rbf", bandwidth=0.1))
-    v2 = hsic_p(pa, pa, KernelConfig(kind="rbf", bandwidth=5.0))
-    assert v1 != v2
-
-
 def test_input_validation():
     p = np.full((4, 2), 0.5)
     with pytest.raises(DiversityError):
@@ -81,8 +73,6 @@ def test_input_validation():
         hsic_p(p[:1], p[:1])
     with pytest.raises(DiversityError):
         KernelConfig(kind="sigmoid")
-    with pytest.raises(DiversityError):
-        KernelConfig(bandwidth=0.0)
 
 
 # --- div_scores -----------------------------------------------------------------
@@ -128,13 +118,10 @@ def oracle_div_scores(candidates, anchors, kc):
         d2 = sq[:, None] + sq[None, :] - 2.0 * g
         np.maximum(d2, 0.0, out=d2)
         np.fill_diagonal(d2, 0.0)
-        if kc.bandwidth is not None:
-            bw = kc.bandwidth
-        else:
-            iu = np.triu_indices(x.shape[0], k=1)
-            bw = float(np.median(np.sqrt(d2[iu])))
-            if bw == 0.0:
-                bw = 1.0
+        iu = np.triu_indices(x.shape[0], k=1)
+        bw = float(np.median(np.sqrt(d2[iu])))
+        if bw == 0.0:
+            bw = 1.0
         return np.exp(-d2 / (2.0 * bw * bw))
 
     def center(g):
@@ -168,10 +155,9 @@ def reference_views(tmp_path_factory):
     return candidates, anchors
 
 
-@pytest.mark.parametrize("bandwidth", [None, 0.3], ids=["median", "fixed"])
-def test_rbf_factor_form_bit_equal_to_per_pair_form(reference_views, bandwidth):
+def test_rbf_factor_form_bit_equal_to_per_pair_form(reference_views):
     candidates, anchors = reference_views
-    kc = KernelConfig(kind="rbf", bandwidth=bandwidth)
+    kc = KernelConfig(kind="rbf")
     expected = oracle_div_scores(candidates, anchors, kc)
     assert np.array_equal(div_scores(candidates, anchors, kc), expected)
 

@@ -175,6 +175,8 @@ def test_config_validation():
         SuteConfig(tau_h=0.2, tau_l=0.5)
     with pytest.raises(SuteError):
         SuteConfig(lambda1=-1.0)
+    with pytest.raises(SuteError):
+        SuteConfig(lambda1=math.nan)
     cfg = SuteConfig.default(4)
     assert cfg.tau_h == pytest.approx(0.9 * math.log(4))
     assert cfg.tau_l == pytest.approx(0.1 * math.log(4))

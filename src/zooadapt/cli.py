@@ -8,7 +8,6 @@ seeded, so reruns with identical inputs produce byte-identical outputs.
 
 import argparse
 import errno
-import os
 import sys
 from pathlib import Path
 
@@ -21,9 +20,8 @@ from .evaluate import (accuracy, read_labels, summary, write_eval_csv,
                        write_summary)
 from .selection import SelectionResult, select
 from .sute import SuteConfig, score_zoo
-from .synthzoo import (REFERENCE_ARCHS, REFERENCE_GRID, ScenarioSpec,
-                       SynthError, build_zoo, generate_scenario, parse_archs,
-                       parse_grid)
+from .synthzoo import (REFERENCE_GRID, ScenarioSpec, SynthError, build_zoo,
+                       generate_scenario, reference_archs)
 from .tensorio import load_zoo, read_text
 
 
@@ -47,10 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="generate a scenario and train a zoo")
     p.add_argument("scenario", help="scenario spec JSON")
     p.add_argument("out_dir", help="output directory for tensors + manifest")
-    p.add_argument("--archs", default=REFERENCE_ARCHS,
-                   help="comma-separated arch tokens")
-    p.add_argument("--grid", default=REFERENCE_GRID,
-                   help="semicolon-separated train configs")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("estimate", help="score every model in a zoo")
@@ -70,25 +64,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("selection", help="selection JSON from `select`")
     p.add_argument("-o", "--out", required=True, help="history CSV path")
-    p.add_argument("--gamma1", type=float, default=0.3)
-    p.add_argument("--gamma2", type=float, default=0.3)
-    p.add_argument("--tau-recycle", type=float, default=0.95)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--lr", type=float, default=0.01)
     # Adaptation is label-free by contract; passing a labels file is an error.
     p.add_argument("--labels", default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_adapt)
 
     p = sub.add_parser("eval", help="accuracy/rank-correlation report")
     p.add_argument("manifest")
-    p.add_argument("labels", nargs="?", default=None,
-                   help="evaluation label file (optional)")
+    p.add_argument("labels", help="evaluation label file")
     p.add_argument("selection", nargs="?", default=None,
                    help="selection JSON (optional)")
     p.add_argument("-o", "--out", required=True, help="report CSV path")
     p.add_argument("--summary", default=None,
-                   help="summary CSV with correlations and ensemble accuracy "
-                        "(needs labels)")
+                   help="summary CSV with correlations and ensemble accuracy")
     p.add_argument("--adapted", action="store_true",
                    help="add the accuracy of the .adapted heads written by "
                         "`adapt` to the summary (needs --summary and a "
@@ -100,14 +87,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_build(args) -> int:
     spec = ScenarioSpec.from_json(read_text(args.scenario))
-    archs = parse_archs(args.archs, spec.seed)
-    scenario = generate_scenario(spec)
-    manifest = build_zoo(scenario, archs, parse_grid(args.grid), args.out_dir)
+    manifest = build_zoo(generate_scenario(spec), reference_archs(spec.seed),
+                         REFERENCE_GRID, args.out_dir)
     print(manifest)
     return 0
 
 
 def cmd_estimate(args) -> int:
+    _check_outputs([args.out])
     records, target = load_zoo(args.manifest)
     report = score_zoo(records, SuteConfig.default(target.num_classes))
     report.write_csv(args.out)
@@ -116,6 +103,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_select(args) -> int:
+    _check_outputs([args.out])
     records, target = load_zoo(args.manifest)
     result = select(records, SuteConfig.default(target.num_classes), q=args.q,
                     kc=KernelConfig.parse(args.kernel))
@@ -132,12 +120,9 @@ def cmd_adapt(args) -> int:
     records, _ = load_zoo(args.manifest)
     sel = SelectionResult.from_json(read_text(args.selection))
     ensemble, outliers = sel.inlier_ensemble(records)
-    cfg = AdaptConfig(gamma1=args.gamma1, gamma2=args.gamma2,
-                      tau_recycle=args.tau_recycle, epochs=args.epochs,
-                      lr=args.lr)
-    _refuse_directories([args.out, *(path for m in ensemble.members
-                                      for path in adapted_paths(m))])
-    adapted, history = adapt(ensemble, outliers, cfg)
+    _check_outputs([args.out, *(path for m in ensemble.members
+                                for path in adapted_paths(m))])
+    adapted, history = adapt(ensemble, outliers, AdaptConfig())
     history.write_csv(args.out)
     write_adapted_heads(adapted)
     print(f"adapted {len(ensemble.members)} heads, history -> {args.out}")
@@ -145,14 +130,12 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.summary and not args.labels:
-        raise ZooAdaptError("eval --summary needs a labels file")
     if args.adapted and not (args.summary and args.selection):
         raise ZooAdaptError("eval --adapted needs --summary and a selection")
+    _check_outputs(filter(None, (args.out, args.summary)))
     records, target = load_zoo(args.manifest)
-    labels = (read_labels(args.labels, target.num_classes)
-              if args.labels else None)
-    if labels is not None and len(labels) != target.n:
+    labels = read_labels(args.labels, target.num_classes)
+    if len(labels) != target.n:
         raise SynthError(f"{args.labels}: expected {target.n} labels, "
                          f"got {len(labels)}")
     selected = adapted = None
@@ -164,11 +147,9 @@ def cmd_eval(args) -> int:
                                 weights=selected.weights)
 
     report = score_zoo(records, SuteConfig.default(target.num_classes))
-    accs = (None if labels is None else
-            {r.model_id: accuracy(r.probs, labels) for r in report.rows})
+    accs = {r.model_id: accuracy(r.probs, labels) for r in report.rows}
     if args.summary:  # every summary error comes before either file opens
         rows = summary(report, accs, labels, selected, adapted)
-    _refuse_directories(filter(None, (args.out, args.summary)))
     write_eval_csv(args.out, report, accs)
     if args.summary:
         write_summary(args.summary, rows)
@@ -176,13 +157,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _refuse_directories(paths) -> None:
-    """Raise before a stage writes anything if one of its output paths
-    is a directory, so it does not leave some outputs behind."""
-    for path in paths:
-        if Path(path).is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
-                                    path)
+def _check_outputs(paths) -> None:
+    """Raise before a stage writes anything if one of its output paths is
+    a directory or lies in no directory, so it leaves no outputs behind."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "output is a directory",
+                                    str(path))
+        if not path.parent.is_dir():
+            raise ZooAdaptError(f"output {path}: no directory {path.parent}")
 
 
 if __name__ == "__main__":

@@ -36,18 +36,19 @@ def accuracy(p: np.ndarray, labels: np.ndarray) -> float:
     return float((np.argmax(p, axis=1) == labels).mean())
 
 
-def write_eval_csv(path, report: TransferabilityReport, accs) -> None:
-    """Per-model rows in rank order, plus accuracy when accs is not None."""
+def write_eval_csv(path, report: TransferabilityReport,
+                   accs: dict[str, float]) -> None:
+    """Per-model rows in rank order, each with its accuracy."""
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
-        header = ["model_id", "domain", "arch", "sute", "ane", "nmi", "rank"]
-        out.writerow(header if accs is None else header + ["accuracy"])
+        out.writerow(["model_id", "domain", "arch", "sute", "ane", "nmi",
+                      "rank", "accuracy"])
         for rank, r in enumerate(report.ranked(), 1):
             sute = r.components.sute
-            row = [r.model_id, r.domain_id, r.arch_tag,
-                   REJECTED_CSV if sute is None else repr(sute),
-                   repr(r.ane), repr(r.nmi), rank]
-            out.writerow(row if accs is None else row + [repr(accs[r.model_id])])
+            out.writerow([r.model_id, r.domain_id, r.arch_tag,
+                          REJECTED_CSV if sute is None else repr(sute),
+                          repr(r.ane), repr(r.nmi), rank,
+                          repr(accs[r.model_id])])
 
 
 def summary(report: TransferabilityReport, accs: dict[str, float],

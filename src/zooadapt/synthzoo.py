@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -197,25 +197,6 @@ class ArchSpec:
             return f"rff{self.dim}b{self.bandwidth:g}"
         return self.kind
 
-    @classmethod
-    def parse(cls, token: str, seed: int = 0) -> "ArchSpec":
-        """Parse CLI tokens: identity, proj-<dim>, rff-<dim>-<bw>, poly2."""
-        parts = token.strip().split("-")
-        kind = parts[0]
-        try:
-            if kind == "identity" and len(parts) == 1:
-                return cls(kind="identity", seed=seed)
-            if kind == "poly2" and len(parts) == 1:
-                return cls(kind="poly2", seed=seed)
-            if kind == "proj" and len(parts) == 2:
-                return cls(kind="proj", dim=int(parts[1]), seed=seed)
-            if kind == "rff" and len(parts) == 3:
-                return cls(kind="rff", dim=int(parts[1]),
-                           bandwidth=float(parts[2]), seed=seed)
-        except ValueError:
-            pass
-        raise SynthError(f"cannot parse arch token {token!r}")
-
 
 def map_features(arch: ArchSpec, source: np.ndarray,
                  target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,21 +256,6 @@ class TrainConfig:
     @property
     def tag(self) -> str:
         return f"lr{self.lr:g}ep{self.epochs}"
-
-    @classmethod
-    def parse(cls, token: str) -> "TrainConfig":
-        """Parse grid tokens like ``lr=0.5,epochs=300,momentum=0.9,l2=1e-4``."""
-        kwargs = {}
-        for piece in token.strip().split(","):
-            key, _, value = piece.partition("=")
-            key = key.strip()
-            if key not in ("lr", "epochs", "momentum", "l2"):
-                raise SynthError(f"unknown grid key {key!r}")
-            try:
-                kwargs[key] = int(value) if key == "epochs" else float(value)
-            except ValueError:
-                raise SynthError(f"grid key {key!r}: cannot parse {value!r}")
-        return cls(**kwargs)
 
 
 def fit_head(x: np.ndarray, y: np.ndarray, num_classes: int,
@@ -442,7 +408,7 @@ def build_zoo(scenario: ScenarioData, archs: list[ArchSpec],
 
 
 # ---------------------------------------------------------------------------
-# Reference configurations used by the CLI defaults and the test harness
+# Reference scenarios, and the archs and grid that `build` always trains
 # ---------------------------------------------------------------------------
 
 def reference_scenario(seed: int = 42) -> ScenarioSpec:
@@ -480,24 +446,15 @@ def poisoned_scenario(seed: int = 42) -> ScenarioSpec:
     )
 
 
-REFERENCE_ARCHS = "identity,proj-3,proj-16,rff-64-2.0,rff-64-8.0,poly2"
-REFERENCE_GRID = "lr=0.5,epochs=300;lr=0.05,epochs=15"
-
-
-def parse_archs(tokens: str, base_seed: int) -> list[ArchSpec]:
-    """Comma-separated arch tokens; the i-th map is seeded base_seed * 1000 + i."""
-    return [ArchSpec.parse(tok, seed=base_seed * 1000 + i)
-            for i, tok in enumerate(tokens.split(","))]
-
-
-def parse_grid(tokens: str) -> list[TrainConfig]:
-    """Semicolon-separated train-config tokens."""
-    return [TrainConfig.parse(tok) for tok in tokens.split(";")]
+REFERENCE_ARCHS = [ArchSpec("identity"), ArchSpec("proj", dim=3),
+                   ArchSpec("proj", dim=16),
+                   ArchSpec("rff", dim=64, bandwidth=2.0),
+                   ArchSpec("rff", dim=64, bandwidth=8.0), ArchSpec("poly2")]
+REFERENCE_GRID = [TrainConfig(lr=0.5, epochs=300),
+                  TrainConfig(lr=0.05, epochs=15)]
 
 
 def reference_archs(base_seed: int = 0) -> list[ArchSpec]:
-    return parse_archs(REFERENCE_ARCHS, base_seed)
-
-
-def reference_grid() -> list[TrainConfig]:
-    return parse_grid(REFERENCE_GRID)
+    """The reference maps; the i-th is seeded base_seed * 1000 + i."""
+    return [replace(arch, seed=base_seed * 1000 + i)
+            for i, arch in enumerate(REFERENCE_ARCHS)]

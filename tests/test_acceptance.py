@@ -18,9 +18,9 @@ from zooadapt.kernels import softmax_rows
 from zooadapt.selection import select
 from zooadapt.sute import SuteConfig, score_zoo, sute_score
 from zooadapt.evaluate import accuracy, read_labels, spearman
-from zooadapt.synthzoo import (build_zoo, generate_scenario,
+from zooadapt.synthzoo import (REFERENCE_GRID, build_zoo, generate_scenario,
                                poisoned_scenario, reference_archs,
-                               reference_grid, reference_scenario)
+                               reference_scenario)
 from zooadapt.tensorio import load_zoo
 
 def report(capfd, num: int, desc: str, ok: bool) -> None:
@@ -39,7 +39,7 @@ def _build_reference(work, seed):
     out = work / f"ref{seed}"
     if not (out / "manifest.json").exists():
         data = generate_scenario(reference_scenario(seed))
-        build_zoo(data, reference_archs(), reference_grid(), out)
+        build_zoo(data, reference_archs(), REFERENCE_GRID, out)
     return out / "manifest.json", out / "target_labels.txt"
 
 
@@ -90,7 +90,7 @@ def test_criterion_2_selection_ensemble(work, capfd):
     pz = work / "poison"
     if not (pz / "manifest.json").exists():
         build_zoo(generate_scenario(poisoned_scenario(42)),
-                  reference_archs(), reference_grid(), pz)
+                  reference_archs(), REFERENCE_GRID, pz)
     precords, ptarget = load_zoo(pz / "manifest.json")
     plabels = read_labels(pz / "target_labels.txt", ptarget.num_classes)
     paccs = np.array([accuracy(forward(m), plabels) for m in precords])
@@ -267,8 +267,7 @@ def test_criterion_8_label_blindness(work, capfd):
         hist = out / f"hist_{tag}.csv"
         assert cli_main(["estimate", str(man), "-o", str(est)]) == 0
         assert cli_main(["select", str(man), "-o", str(sel), "--q", "1"]) == 0
-        assert cli_main(["adapt", str(man), str(sel), "-o", str(hist),
-                         "--epochs", "5"]) == 0
+        assert cli_main(["adapt", str(man), str(sel), "-o", str(hist)]) == 0
         adapted = sorted(p.read_bytes() for p in zoo.glob("*.adapted"))
         return [est.read_bytes(), sel.read_bytes(), hist.read_bytes(), adapted]
 

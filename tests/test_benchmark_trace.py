@@ -115,7 +115,7 @@ def test_traced_adapt_mines_recycle_pairs_once(tmp_path):
     sel = tmp_path / "sel.json"
     assert main(["select", str(manifest), "-o", str(sel), "--q", "1"]) == 0
     hist = tmp_path / "hist.csv"
-    argv = ["adapt", str(manifest), str(sel), "-o", str(hist), "--epochs", "5"]
+    argv = ["adapt", str(manifest), str(sel), "-o", str(hist)]
 
     def written():
         adapted = sorted(manifest.parent.glob("*.adapted"))

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -18,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MINI_ARCHS, MINI_GRID, mini_scenario
+from zooadapt import cli
 from zooadapt.cli import _build_parser, main
+from zooadapt.ensemble_adapt import AdaptConfig
 from zooadapt.inference import forward
 from zooadapt.synthzoo import (ArchSpec, DomainTransform, ScenarioSpec,
                                TrainConfig, build_zoo, generate_scenario,
@@ -52,11 +55,10 @@ def test_build_subcommand(tmp_path):
     scen = tmp_path / "scen.json"
     scen.write_text(mini_scenario(seed=22).to_json())
     out_dir = tmp_path / "zoo"
-    rc = main(["build", str(scen), str(out_dir),
-               "--archs", "identity,proj-3", "--grid", "lr=0.5,epochs=40"])
+    rc = main(["build", str(scen), str(out_dir)])
     assert rc == 0
     doc = json.loads((out_dir / "manifest.json").read_text())
-    assert len(doc["models"]) == 4  # 2 domains x 2 archs x 1 config
+    assert len(doc["models"]) == 24  # 2 domains x 6 archs x 2 configs
 
 
 def test_estimate_one_model_zoo_single_row(one_model_zoo, tmp_path):
@@ -68,13 +70,14 @@ def test_estimate_one_model_zoo_single_row(one_model_zoo, tmp_path):
     assert lines[1].split(",")[-1] == "1"
 
 
-def test_eval_without_labels_has_no_accuracy_columns(zoo, tmp_path):
+def test_eval_refuses_a_call_without_labels(zoo, tmp_path, capsys):
     out = tmp_path / "eval.csv"
-    rc = main(["eval", str(zoo), "-o", str(out)])
-    assert rc == 0
-    header = out.read_text().splitlines()[0].split(",")
-    assert "accuracy" not in header
-    assert header[:4] == ["model_id", "domain", "arch", "sute"]
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", str(zoo), "-o", str(out)])
+    assert exc.value.code == 2
+    assert "the following arguments are required: labels" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_with_labels_has_accuracy_and_summary(zoo, tmp_path):
@@ -136,23 +139,163 @@ def test_build_writes_recorded_bytes(tmp_path):
             for p in tmp_path.iterdir()} == BUILD_DIGESTS
 
 
+# SHA-256 of every file that `zooadapt build` writes for mini_scenario
+# seed 21: the reference archs, seeded from the scenario seed, times the
+# reference grid.
+CLI_BUILD_DIGESTS = {
+    "dom0-identity-lr0.05ep15.bias.ztf":
+        "3b3c2af53c790c812cdf5e91fa40e92b506b503dae0ea61cd6835bcc2d7d576f",
+    "dom0-identity-lr0.05ep15.weights.ztf":
+        "71ec09caaac425e8a17b9ef34c8d143f9f056fb1c94be53d76243c81dc63047d",
+    "dom0-identity-lr0.5ep300.bias.ztf":
+        "d3fd937cafb245153978ad615a69be236208296a4352fafbfb0a316e9bcb3137",
+    "dom0-identity-lr0.5ep300.weights.ztf":
+        "9f72e8db4896588440290d027daabf8b2bc0a67294feaa9d12d4b7b3cd0a73ab",
+    "dom0-identity.features.ztf":
+        "bcf5ad30e8a5ece1060ddd83587e11a6b649a45283c464f5e09391f8286e4a38",
+    "dom0-poly2-lr0.05ep15.bias.ztf":
+        "e726171688a2af4ba7f9e86ec96e011b8b33d8479e117a658780589ded74081d",
+    "dom0-poly2-lr0.05ep15.weights.ztf":
+        "479d65bce8ebe0c22c9a388126bd0b9544bec6c9ef9da2eaa70509dcf53d4528",
+    "dom0-poly2-lr0.5ep300.bias.ztf":
+        "b0af2c0f15ea6818595f1b1de0e5b686815e35d98bb1b2a906320c3194899332",
+    "dom0-poly2-lr0.5ep300.weights.ztf":
+        "da573153dfaf123fc81a080991c7c085f1304df8b5ddaa629eee0941bcee6b4d",
+    "dom0-poly2.features.ztf":
+        "83322a748efef8b955c65dc80d4b5bcd02b06b09d8ba082693205de62ec2b439",
+    "dom0-proj16-lr0.05ep15.bias.ztf":
+        "50e73b949ab113316606774f2755008c882cf2c2be3472db10583b6ef41a92ed",
+    "dom0-proj16-lr0.05ep15.weights.ztf":
+        "7b0816c542057b15f0c835a4e756af1dbe821ae6602e453f3cc54baafc16dddb",
+    "dom0-proj16-lr0.5ep300.bias.ztf":
+        "9c266608366b92122250a82e85fdca6805d358f216d6bbbb25bc4314c352e069",
+    "dom0-proj16-lr0.5ep300.weights.ztf":
+        "e1364ba2189d1296b951a40390be49858d072727598dcc240fc8004ea0eaf32a",
+    "dom0-proj16.features.ztf":
+        "a37da4dd9061fa26f472ce0f1407580251009ef233cca72129b5276ca3d351ee",
+    "dom0-proj3-lr0.05ep15.bias.ztf":
+        "a3731106ce43a3a06acbcfae79533cd4c28274cbfa8f8edbe62e116b2e0eedef",
+    "dom0-proj3-lr0.05ep15.weights.ztf":
+        "194a28a33f43c01e714d8f9380f552d2aadbb81584c993ec0a3ed7929bad3b66",
+    "dom0-proj3-lr0.5ep300.bias.ztf":
+        "4b2bd0d88269e4ccc8f6f32a8b90bc66d1beab07965c797f206df4de711b015b",
+    "dom0-proj3-lr0.5ep300.weights.ztf":
+        "61650efb99fbe974ef4532c7da640eae5a75b65494bf3e8a874786ba7426f241",
+    "dom0-proj3.features.ztf":
+        "4e1997a0617fb79d016882e912ee6f081792aaf1be9a1a42ac17e479d83ed6c7",
+    "dom0-rff64b2-lr0.05ep15.bias.ztf":
+        "4f5567e8a961e3a49a45febd2292601753f1eb62e53371a0d90dac368da96568",
+    "dom0-rff64b2-lr0.05ep15.weights.ztf":
+        "91dc06e3a6e3037413e52bdfa97c973c839e0ac3d8a76f3d36d98bf2553e9004",
+    "dom0-rff64b2-lr0.5ep300.bias.ztf":
+        "061f905adbd931275a059c172e36e2109c15427fa800de5a3883241a38788bae",
+    "dom0-rff64b2-lr0.5ep300.weights.ztf":
+        "970caea7c55c5fd376bd08bfa01ec8ae342dabd6451738d2037f773a6f9a25e3",
+    "dom0-rff64b2.features.ztf":
+        "cb7cc5110d2efe1567ff8480132e167c9ea37ade3ecf06c8bb74219452852adc",
+    "dom0-rff64b8-lr0.05ep15.bias.ztf":
+        "30c2126e303ebad3751e418c88f6ace13b00c92dace69bd03b3bb2b50146efd0",
+    "dom0-rff64b8-lr0.05ep15.weights.ztf":
+        "30db962c3ccf23b150065dbdf3137d8d18bbc4cf9746d2532df73a593eda4146",
+    "dom0-rff64b8-lr0.5ep300.bias.ztf":
+        "f664c3d969adfbd11efe81dfe42b211a4c3e0eff28267e831039b176cb6f4cfa",
+    "dom0-rff64b8-lr0.5ep300.weights.ztf":
+        "40dcc6957ec701fdb1f76370eb50488740b853a695606b1bed9b110680f9e4e4",
+    "dom0-rff64b8.features.ztf":
+        "6e3f2e2b30afac7373850634e782e550418c957fa172e22829d8612878d20a07",
+    "dom1-identity-lr0.05ep15.bias.ztf":
+        "174fc750c56832b7f8811a0d55f136377a3c2922e8c821d1ebb01aca274f2896",
+    "dom1-identity-lr0.05ep15.weights.ztf":
+        "f09115a6bf7f102b29144936f5d0328340bdcfb18a5106678dc08e95c7eacb68",
+    "dom1-identity-lr0.5ep300.bias.ztf":
+        "f775e783f10858ecdfc1963432f7b99af04bb05e8eeb8b51ebfeb693212fd745",
+    "dom1-identity-lr0.5ep300.weights.ztf":
+        "1ed0efd1c07665f880ff014a8891046c101ac403a0c1f34a9d879c2e9c8164e3",
+    "dom1-identity.features.ztf":
+        "3e2c83acd5249b79e93f8d84440a7b7f614b992fd6d56f94eb2d16e63cd87d42",
+    "dom1-poly2-lr0.05ep15.bias.ztf":
+        "e65fb10d6d8e651bf34287780de587a605b7a8ce5c5de33ad447b4ee7b5bb68e",
+    "dom1-poly2-lr0.05ep15.weights.ztf":
+        "4540f1e0c64a61b4a24d4efeac114faa12b5ff7d46dfec8504e5fc71a2ba2652",
+    "dom1-poly2-lr0.5ep300.bias.ztf":
+        "ba862b8ac94c89c9b62b35e88e5daf7987dc1557d300208de15789fa877d6d5a",
+    "dom1-poly2-lr0.5ep300.weights.ztf":
+        "586db7b0d23ec1102fdd12dc00af62e1f6f585832acb83da4efffeed6e3ad7a2",
+    "dom1-poly2.features.ztf":
+        "7d6f11a8d8487fd8f7c3dc7241d76b801a5810f997724f35f94340ef3be33019",
+    "dom1-proj16-lr0.05ep15.bias.ztf":
+        "53348778e45f5d945a44332d719f64821d8249558ad7431e0da2a748bb59018b",
+    "dom1-proj16-lr0.05ep15.weights.ztf":
+        "7583223e1ba7d985ae13235a77039325f9c5a084b389f4cd12e2fb9e31f3b4ce",
+    "dom1-proj16-lr0.5ep300.bias.ztf":
+        "2bef3f8af94f382db0c5e4cd2d5487a6cce017adc0bc2fe13e243e03d2a5e886",
+    "dom1-proj16-lr0.5ep300.weights.ztf":
+        "f607d2a3dc0a68830b17bb412c48a244837f3e63e74d0a505ea51728c30b5661",
+    "dom1-proj16.features.ztf":
+        "be271ef8f99bf0bec963021f108de2aba158315639bece88c8d2fac300a31ae3",
+    "dom1-proj3-lr0.05ep15.bias.ztf":
+        "4eae2af6dd8c6d6bd9de94001e47aaa03bd8860a6a4cc277e0dfe89834e6737c",
+    "dom1-proj3-lr0.05ep15.weights.ztf":
+        "2ecf3122fd4930d68355e0af721a36ab9db6b6a30baabc6ac884a21985b83a9a",
+    "dom1-proj3-lr0.5ep300.bias.ztf":
+        "4ef6d997ed14a0537d6d1879fbc540a412dad97482f7b8e44add243a714cf012",
+    "dom1-proj3-lr0.5ep300.weights.ztf":
+        "46a5b1933341a926988c8cee2950b6b5d9b8566e21983c3925b3a38580cdf9ce",
+    "dom1-proj3.features.ztf":
+        "991fefa4051ff8432e4db6441e547761a068366b67accfb3c56ffb7ae4e3ceaa",
+    "dom1-rff64b2-lr0.05ep15.bias.ztf":
+        "468ec9d03a7060577198f35ff4560fd98b2b49b45e34092309c4a8628af1bd87",
+    "dom1-rff64b2-lr0.05ep15.weights.ztf":
+        "10104450bd0e00d079544935cb5a7153b55a8fd979fba1cbc65df8a15aae0cca",
+    "dom1-rff64b2-lr0.5ep300.bias.ztf":
+        "ecf88c6461744847a8af6bfae9d43869ef1c55ab8ef5131b49d565c326cc1b2a",
+    "dom1-rff64b2-lr0.5ep300.weights.ztf":
+        "de786a022771d302a4f1d061433db06d5ee88449a967f4869ff2cc0376446ca2",
+    "dom1-rff64b2.features.ztf":
+        "95eb0d4ee6410fcffbb863d3a49754f908147e24d1740d79e48feddd13b9d310",
+    "dom1-rff64b8-lr0.05ep15.bias.ztf":
+        "f0ac37c8e67e413a8a87cc3edcaf5dca5dd845c89b709e7b4da638112055b6ba",
+    "dom1-rff64b8-lr0.05ep15.weights.ztf":
+        "c67945fd8124725b945e31018723956d2254b930c39b53f822e97dc4b5db6297",
+    "dom1-rff64b8-lr0.5ep300.bias.ztf":
+        "1191ce07ceac193d919e65b3bc342ae1e86446b504a2a6951b87c1a13e84167d",
+    "dom1-rff64b8-lr0.5ep300.weights.ztf":
+        "33d8b37d1360c09c3a0ad55f1e430a90a02ef78b0db7aaf376e22a9d878f2a68",
+    "dom1-rff64b8.features.ztf":
+        "53f24fa53a983d4e3bb8509c4359ef211344363d7816c71acb4e3a2169c3bf6a",
+    "manifest.json":
+        "f304b241eb0a58e75a6ff94b87cf92c404e4fa367ad112fe74ca36724732d146",
+    "target_labels.txt":
+        "0c1696ff700982502d61607cc807ffa581b7786a3dbc6577706a176dcbe0bc4c",
+}
+
+
+def test_cli_build_writes_recorded_bytes(tmp_path):
+    scen = tmp_path / "scen.json"
+    scen.write_text(mini_scenario(seed=21).to_json())
+    out = tmp_path / "zoo"
+    assert main(["build", str(scen), str(out)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == CLI_BUILD_DIGESTS
+
+
 # SHA-256 of every output of test_full_pipeline_byte_identical_reruns,
 # recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64).
 PIPELINE_DIGESTS = {
     "dom0-identity-lr0.5ep80.bias.ztf.adapted":
-        "2849003eb8c175023650429de51a70868c81af8e16566262e2920da874a6128c",
+        "9094e57c02f3a9227498c5bcf615d285c1b2b92d22fe9003efecd5d3844f30c5",
     "dom0-identity-lr0.5ep80.weights.ztf.adapted":
-        "c49483356d730f059a0078f9d60add9d681905d148fb88d5277424d21f1d1e1a",
+        "58e17bf080bd4d66f0a0cd35552af2b85200d65677cc8fa846e755d060a56740",
     "dom1-proj3-lr0.5ep80.bias.ztf.adapted":
-        "f0efba179f4ea52de3dd42c30c1eb95d56ed914f69dd38d18b80ae0ca6b31017",
+        "95532d5a960ac1ac4264a3514a1550cfbc5fbfe6f20581ae87f42b314657332b",
     "dom1-proj3-lr0.5ep80.weights.ztf.adapted":
-        "1c9434f135317df3fa09d68f83312c6d84f5cfc8393a68a1cd7daaf67cb7c48d",
+        "3f0ad12c9281e82a082656d79d6514666bdd8c2ae164b1ab5a3ce015823374eb",
     "est.csv":
         "791996871b38804bc391863663edf8bc94738a4a67e62d2efd4664d2bfc0ca01",
     "eval.csv":
         "c69b5c039edb43e6562070270412f43d92cc78da2bfb2ceda317a51071a0cbf0",
     "hist.csv":
-        "52477ff0ba8bd09abebc6283c9370e0d90831436905753678095b7009a5f06ed",
+        "5ec33820bcdd9c3b97a8dade391b7366c8539a081ddf3b93ee0a5b55eba8742c",
     "sel.json":
         "808808bfc3f9ed78d1a49b9be36b23be5dbdc554528b81046b5a3b66cbab4378",
     "sum.csv":
@@ -187,8 +330,7 @@ def test_full_pipeline_byte_identical_reruns(zoo, tmp_path):
         summ = d / "sum.csv"
         assert main(["estimate", str(zoo), "-o", str(est)]) == 0
         assert main(["select", str(zoo), "-o", str(sel), "--q", "1"]) == 0
-        assert main(["adapt", str(zoo), str(sel), "-o", str(hist),
-                     "--epochs", "5"]) == 0
+        assert main(["adapt", str(zoo), str(sel), "-o", str(hist)]) == 0
         outputs = adapted(sel)
         assert main(["eval", str(zoo), str(labels), str(sel), "-o", str(ev),
                      "--summary", str(summ), "--adapted"]) == 0
@@ -246,7 +388,7 @@ def test_adapt_writes_adapted_tensors(zoo, tmp_path):
     sel = tmp_path / "sel.json"
     assert main(["select", str(zoo), "-o", str(sel)]) == 0
     assert main(["adapt", str(zoo), str(sel), "-o",
-                 str(tmp_path / "h.csv"), "--epochs", "2"]) == 0
+                 str(tmp_path / "h.csv")]) == 0
     picked = json.loads(sel.read_text())["inliers"]
     doc = json.loads(zoo.read_text())
     for entry in doc["models"]:
@@ -261,13 +403,12 @@ def test_rebuild_deletes_adapted_heads_of_the_earlier_zoo(tmp_path, capsys):
     from the new heads."""
     scen, out, sel = tmp_path / "scen.json", tmp_path / "zoo", tmp_path / "sel.json"
     manifest = out / "manifest.json"
-    build = ["build", str(scen), str(out), "--archs", "identity,proj-3",
-             "--grid", "lr=0.5,epochs=40"]
+    build = ["build", str(scen), str(out)]
     scen.write_text(mini_scenario(seed=21).to_json())
     assert main(build) == 0
     assert main(["select", str(manifest), "-o", str(sel), "--q", "1"]) == 0
     assert main(["adapt", str(manifest), str(sel), "-o",
-                 str(tmp_path / "h.csv"), "--epochs", "1"]) == 0
+                 str(tmp_path / "h.csv")]) == 0
     assert list(out.glob("*.adapted"))
     scen.write_text(mini_scenario(seed=22).to_json())
     assert main(build) == 0
@@ -297,7 +438,8 @@ def test_estimate_select_and_eval_give_each_model_one_score(zoo, tmp_path):
     est, sel, ev = tmp_path / "est.csv", tmp_path / "sel.json", tmp_path / "ev.csv"
     assert main(["estimate", str(manifest), "-o", str(est)]) == 0
     assert main(["select", str(manifest), "-o", str(sel)]) == 0
-    assert main(["eval", str(manifest), "-o", str(ev)]) == 0
+    assert main(["eval", str(manifest), str(zoo.parent / "target_labels.txt"),
+                 "-o", str(ev)]) == 0
 
     def sutes(path):
         with open(path, newline="") as fh:
@@ -310,15 +452,23 @@ def test_estimate_select_and_eval_give_each_model_one_score(zoo, tmp_path):
         mid: float(v) for mid, v in estimated.items() if v != "-inf"}
 
 
-# Every option string of each subcommand. A new flag lands only with an
-# edit here: each one lets some stage run with a value the others ignore.
+# Every option string of each subcommand, and each positional with its
+# nargs (None: exactly one). A new flag or an optional input lands only
+# with an edit here: each one lets some stage run with a value the others
+# ignore, or in a form the pipeline does not run.
 CLI_FLAGS = {
-    "build": ["-h", "--help", "--archs", "--grid"],
+    "build": ["-h", "--help"],
     "estimate": ["-h", "--help", "-o", "--out"],
     "select": ["-h", "--help", "-o", "--out", "--q", "--kernel"],
-    "adapt": ["-h", "--help", "-o", "--out", "--gamma1", "--gamma2",
-              "--tau-recycle", "--epochs", "--lr", "--labels"],
+    "adapt": ["-h", "--help", "-o", "--out", "--labels"],
     "eval": ["-h", "--help", "-o", "--out", "--summary", "--adapted"],
+}
+CLI_POSITIONALS = {
+    "build": [("scenario", None), ("out_dir", None)],
+    "estimate": [("manifest", None)],
+    "select": [("manifest", None)],
+    "adapt": [("manifest", None), ("selection", None)],
+    "eval": [("manifest", None), ("labels", None), ("selection", "?")],
 }
 
 
@@ -327,6 +477,9 @@ def test_cli_flag_set_is_pinned():
                if isinstance(a, argparse._SubParsersAction))
     assert {name: [s for a in p._actions for s in a.option_strings]
             for name, p in sub.choices.items()} == CLI_FLAGS
+    assert {name: [(a.dest, a.nargs) for a in p._actions
+                   if not a.option_strings]
+            for name, p in sub.choices.items()} == CLI_POSITIONALS
 
 
 def test_missing_manifest_reports_error(tmp_path, capsys):
@@ -486,7 +639,7 @@ def test_bad_selection_json(zoo, tmp_path, capsys, command, case):
     capsys.readouterr()
     out = str(tmp_path / "out.csv")
     if command == "adapt":
-        argv = ["adapt", str(zoo), str(bad), "-o", out, "--epochs", "1"]
+        argv = ["adapt", str(zoo), str(bad), "-o", out]
     else:
         argv = ["eval", str(zoo), str(zoo.parent / "target_labels.txt"),
                 str(bad), "-o", out]
@@ -513,8 +666,7 @@ def test_eval_refuses_label_outside_class_range(zoo, tmp_path, capsys, label):
     assert not out.exists() and not summary.exists()
 
 
-@pytest.mark.parametrize("case", ["summary_without_labels",
-                                  "adapted_without_summary",
+@pytest.mark.parametrize("case", ["adapted_without_summary",
                                   "adapted_without_selection"])
 def test_eval_refuses_flags_that_write_nothing(zoo, tmp_path, capsys, case):
     sel = tmp_path / "sel.json"
@@ -523,7 +675,6 @@ def test_eval_refuses_flags_that_write_nothing(zoo, tmp_path, capsys, case):
     labels = str(zoo.parent / "target_labels.txt")
     out, summary = tmp_path / "eval.csv", tmp_path / "sum.csv"
     argv = {
-        "summary_without_labels": ["--summary", str(summary)],
         "adapted_without_summary": [labels, str(sel), "--adapted"],
         "adapted_without_selection": [labels, "--summary", str(summary),
                                       "--adapted"],
@@ -560,8 +711,8 @@ def test_eval_forwards_each_model_once(zoo, tmp_path, monkeypatch):
     ensemble reuses the scored probabilities."""
     sel = tmp_path / "sel.json"
     assert main(["select", str(zoo), "-o", str(sel), "--q", "1"]) == 0
-    assert main(["adapt", str(zoo), str(sel), "-o", str(tmp_path / "h.csv"),
-                 "--epochs", "1"]) == 0
+    assert main(["adapt", str(zoo), str(sel), "-o",
+                 str(tmp_path / "h.csv")]) == 0
     calls = []
 
     def counted(m):
@@ -583,21 +734,9 @@ def test_eval_forwards_each_model_once(zoo, tmp_path, monkeypatch):
 SCENARIO_VALUES = {"samples_a_string": ("samples_per_domain", "60"),
                    "seed_null": ("seed", None), "C_a_float": ("C", 3.0),
                    "seed_negative": ("seed", -1)}
-# build flags whose values parse but would train nothing, or would give
-# two models one id
-BUILD_VALUES = {"epochs_negative": ("--grid", "epochs=-3"),
-                "lr_nan": ("--grid", "lr=nan"),
-                "lr_negative": ("--grid", "lr=-1"),
-                "momentum_above_one": ("--grid", "momentum=1.5"),
-                "l2_inf": ("--grid", "l2=inf"),
-                "rff_bandwidth_zero": ("--archs", "rff-64-0"),
-                "rff_bandwidth_inf": ("--archs", "rff-64-inf"),
-                "ids_collide_grid": (
-                    "--archs", "identity", "--grid",
-                    "lr=0.5,epochs=20,momentum=0.9;lr=0.5,epochs=20,momentum=0.5"),
-                "ids_collide_archs": ("--archs", "proj-3,proj-3"),
-                "proj_dim_zero": ("--archs", "proj-0"),
-                "rff_dim_zero": ("--archs", "identity,rff-0-2.0")}
+# adapt's learning rate, set by replacing its one configuration: one that
+# AdaptConfig refuses, and one whose adapted heads overflow float32
+ADAPT_LR = {"lr_inf": math.inf, "lr_1e300": 1e300}
 KERNEL_VALUES = {"kernel": "rbf:abc", "kernel_bandwidth": "rbf:0.5"}
 # input files that are not UTF-8 text, and paths that name a directory
 NOT_UTF8 = ["labels_not_utf8", "selection_not_utf8", "scenario_not_utf8",
@@ -605,19 +744,29 @@ NOT_UTF8 = ["labels_not_utf8", "selection_not_utf8", "scenario_not_utf8",
 A_DIRECTORY = ["labels_a_directory", "selection_a_directory",
                "out_a_directory", "summary_a_directory",
                "adapted_a_directory"]
+# one output of each writing stage in a directory that does not exist
+NO_DIRECTORY = ["estimate_out_no_directory", "select_out_no_directory",
+                "adapt_out_no_directory", "eval_out_no_directory",
+                "summary_no_directory"]
 
 
 @pytest.mark.parametrize("case,error", [
-    *[(case, "DiversityError") for case in KERNEL_VALUES], ("archs", "SynthError"),
-    ("grid", "SynthError"), ("labels", "SynthError"),
-    ("labels_wrong_count", "SynthError"), ("scenario", "SynthError"),
-    ("lr_inf", "AdaptError"), ("lr_1e300", "AdaptError")]
-    + [(case, "SynthError") for case in [*SCENARIO_VALUES, *BUILD_VALUES]]
-    + [(case, "ZooAdaptError") for case in NOT_UTF8]
+    *[(case, "DiversityError") for case in KERNEL_VALUES],
+    ("labels", "SynthError"), ("labels_wrong_count", "SynthError"),
+    ("scenario", "SynthError"), *[(case, "AdaptError") for case in ADAPT_LR]]
+    + [(case, "SynthError") for case in SCENARIO_VALUES]
+    + [(case, "ZooAdaptError") for case in NOT_UTF8 + NO_DIRECTORY]
     + [(case, "IsADirectoryError") for case in A_DIRECTORY])
-def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
-    if case == "adapted_a_directory":  # a copy keeps the shared zoo whole
-        zoo = Path(shutil.copytree(zoo.parent, tmp_path / "zoo_copy")) / zoo.name
+def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, monkeypatch, case,
+                                    error):
+    if case in ("adapted_a_directory", "adapt_out_no_directory"):
+        # a copy without adapted heads keeps the shared zoo whole
+        zoo = Path(shutil.copytree(zoo.parent, tmp_path / "zoo_copy",
+                                   ignore=shutil.ignore_patterns("*.adapted"))
+                   ) / zoo.name
+    if case in ADAPT_LR:
+        monkeypatch.setattr(cli, "AdaptConfig", functools.partial(
+            AdaptConfig, lr=ADAPT_LR[case], epochs=1))
     doc = json.loads(mini_scenario(seed=22).to_json())
     if case in SCENARIO_VALUES:
         key, value = SCENARIO_VALUES[case]
@@ -637,16 +786,18 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
     short = tmp_path / "short.txt"
     short.write_text("0\n" * (n - 1))
     eval_out = ["-o", str(tmp_path / "eval.csv")]
+    no_dir = tmp_path / "no_dir"
+    out_no_dir = ["-o", str(no_dir / "out")]
     build = ["build", str(scen), str(tmp_path / "zoo")]
     sel = tmp_path / "sel.json"
-    if case in ("lr_inf", "lr_1e300", "adapted_a_directory"):
+    if case in (*ADAPT_LR, "adapted_a_directory", "adapt_out_no_directory"):
         assert main(["select", str(zoo), "-o", str(sel), "--q", "1"]) == 0
         capsys.readouterr()
     if case == "adapted_a_directory":
         # earlier outputs, then the last inlier's adapted weights path
         # becomes a directory: adapt must fail before it writes anything
         assert main(["adapt", str(zoo), str(sel), "-o",
-                     str(tmp_path / "h0.csv"), "--epochs", "1"]) == 0
+                     str(tmp_path / "h0.csv")]) == 0
         capsys.readouterr()
         last = json.loads(sel.read_text())["inliers"][-1]
         blocked = zoo.parent / f"{last}.weights.ztf.adapted"
@@ -656,19 +807,15 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
     argv = {
         **{k: ["select", str(zoo), "-o", str(sel), "--kernel", v]
            for k, v in KERNEL_VALUES.items()},
-        "archs": build + ["--archs", "proj-x"],
-        "grid": build + ["--grid", "lr=0.5,epochs=x"],
         "labels": ["eval", str(zoo), str(labels), "-o",
                    str(tmp_path / "eval.csv")],
         "labels_wrong_count": ["eval", str(zoo), str(short)] + eval_out,
         "scenario": ["build", str(not_json), str(tmp_path / "zoo")],
-        "lr_inf": ["adapt", str(zoo), str(sel), "-o", str(tmp_path / "h.csv"),
-                   "--lr", "inf", "--epochs", "1"],
-        "lr_1e300": ["adapt", str(zoo), str(sel), "-o", str(tmp_path / "h.csv"),
-                     "--lr", "1e300", "--epochs", "1"],
+        **{k: ["adapt", str(zoo), str(sel), "-o", str(tmp_path / "h.csv")]
+           for k in ADAPT_LR},
         "labels_not_utf8": ["eval", str(zoo), str(binary)] + eval_out,
         "selection_not_utf8": ["adapt", str(zoo), str(binary), "-o",
-                               str(tmp_path / "h.csv"), "--epochs", "1"],
+                               str(tmp_path / "h.csv")],
         "scenario_not_utf8": ["build", str(binary), str(tmp_path / "zoo")],
         "manifest_not_utf8": ["estimate", str(binary), "-o",
                               str(tmp_path / "est.csv")],
@@ -679,8 +826,14 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
         "summary_a_directory": ["eval", str(zoo), good_labels, "--summary",
                                 str(a_dir)] + eval_out,
         "adapted_a_directory": ["adapt", str(zoo), str(sel), "-o",
-                                str(tmp_path / "h.csv"), "--epochs", "2"],
-    }.get(case, build + list(BUILD_VALUES.get(case, ())))
+                                str(tmp_path / "h.csv")],
+        "estimate_out_no_directory": ["estimate", str(zoo)] + out_no_dir,
+        "select_out_no_directory": ["select", str(zoo)] + out_no_dir,
+        "adapt_out_no_directory": ["adapt", str(zoo), str(sel)] + out_no_dir,
+        "eval_out_no_directory": ["eval", str(zoo), good_labels] + out_no_dir,
+        "summary_no_directory": ["eval", str(zoo), good_labels, "--summary",
+                                 str(no_dir / "out")] + eval_out,
+    }.get(case, build)
     line = _single_error_line(capsys, main(argv))
     assert error in line
     if case in NOT_UTF8:
@@ -689,6 +842,9 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, case, error):
         assert f"{short}: expected {n} labels, got {n - 1}" in line
     if case == "adapted_a_directory":
         assert str(blocked) in line and not any(blocked.iterdir())
+    if case in NO_DIRECTORY:
+        assert f"output {no_dir / 'out'}: no directory {no_dir}" in line
+    assert not no_dir.exists()
     assert not (tmp_path / "zoo").exists()
     assert not (tmp_path / "est.csv").exists()
     assert not (tmp_path / "h.csv").exists()
@@ -782,8 +938,7 @@ def test_fuzzed_value_ends_in_success_or_one_error_line(mini_zoo, fuzz_inputs,
     out = str(work / "out.csv")
     argv = {
         "estimate": ["estimate", str(path), "-o", out],
-        "adapt": ["adapt", str(mini_zoo), str(path), "-o", out,
-                  "--epochs", "1"],
+        "adapt": ["adapt", str(mini_zoo), str(path), "-o", out],
         "eval": ["eval", str(mini_zoo),
                  str(mini_zoo.parent / "target_labels.txt"), str(path),
                  "-o", out, "--summary", str(work / "sum.csv")],

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -12,11 +13,12 @@ from zooadapt.evaluate import (accuracy, read_labels, spearman,
                                student_t_two_sided)
 from zooadapt.inference import forward
 from zooadapt.kernels import softmax_rows
-from zooadapt.synthzoo import (ArchSpec, DomainTransform, ScenarioSpec,
-                               SynthError, TrainConfig, apply_transform,
-                               build_zoo, fit_head, generate_scenario,
-                               map_features, reference_archs, reference_grid,
-                               reference_scenario, rotation_matrix)
+from zooadapt.synthzoo import (REFERENCE_GRID, ArchSpec, DomainTransform,
+                               ScenarioSpec, SynthError, TrainConfig,
+                               apply_transform, build_zoo, fit_head,
+                               generate_scenario, map_features,
+                               reference_archs, reference_scenario,
+                               rotation_matrix)
 from zooadapt.tensorio import load_zoo, write_tensor
 
 
@@ -88,19 +90,17 @@ def test_scenario_validation():
 
 # --- feature maps ------------------------------------------------------------------
 
-def test_arch_parse_tokens():
-    assert ArchSpec.parse("identity").kind == "identity"
-    assert ArchSpec.parse("proj-16") == ArchSpec(kind="proj", dim=16)
-    assert ArchSpec.parse("rff-32-2.5") == ArchSpec(kind="rff", dim=32,
-                                                    bandwidth=2.5)
-    assert ArchSpec.parse("poly2").kind == "poly2"
-    with pytest.raises(SynthError):
-        ArchSpec.parse("resnet50")
-    for token in ("proj-0", "rff-0-2.0"):
-        with pytest.raises(SynthError, match="dim must be >= 1"):
-            ArchSpec.parse(token)
-    with pytest.raises(SynthError, match="unknown arch kind"):
-        ArchSpec(kind="resnet50")
+@pytest.mark.parametrize("kwargs,message", [
+    ({"kind": "resnet50"}, "unknown arch kind"),
+    ({"kind": "proj", "dim": 0}, "proj dim must be >= 1"),
+    ({"kind": "rff", "dim": 0}, "rff dim must be >= 1"),
+    ({"kind": "rff", "dim": 64, "bandwidth": 0.0}, "rff bandwidth must be"),
+    ({"kind": "rff", "dim": 64, "bandwidth": math.inf}, "rff bandwidth must be")],
+    ids=["unknown_kind", "proj_dim_zero", "rff_dim_zero", "rff_bandwidth_zero",
+         "rff_bandwidth_inf"])
+def test_arch_spec_validation(kwargs, message):
+    with pytest.raises(SynthError, match=message):
+        ArchSpec(**kwargs)
 
 
 def test_feature_map_shapes_and_standardization():
@@ -118,11 +118,15 @@ def test_feature_map_shapes_and_standardization():
         np.testing.assert_array_equal(map_features(arch, x, x)[1], src)
 
 
-def test_train_config_parse():
-    cfg = TrainConfig.parse("lr=0.25,epochs=40,momentum=0.8,l2=0.001")
-    assert cfg == TrainConfig(lr=0.25, epochs=40, momentum=0.8, l2=0.001)
+@pytest.mark.parametrize("kwargs", [
+    {"epochs": -3}, {"lr": math.nan}, {"lr": -1.0}, {"momentum": 1.5},
+    {"l2": math.inf}],
+    ids=["epochs_negative", "lr_nan", "lr_negative", "momentum_above_one",
+         "l2_inf"])
+def test_train_config_validation(kwargs):
+    # each value would train nothing
     with pytest.raises(SynthError):
-        TrainConfig.parse("alpha=3")
+        TrainConfig(**kwargs)
 
 
 # --- head fitting -------------------------------------------------------------------
@@ -175,7 +179,7 @@ def _reference_stack(arch, domains):
     return x, np.stack([data.domain_y[k] for k in domains])
 
 
-@pytest.mark.parametrize("cfg", reference_grid(), ids=lambda c: c.tag)
+@pytest.mark.parametrize("cfg", REFERENCE_GRID, ids=lambda c: c.tag)
 @pytest.mark.parametrize("domains", [(1,), (0, 1, 2)], ids=["K1", "K3"])
 def test_fit_head_slices_equal_lone_fits(domains, cfg):
     for arch in reference_archs():
@@ -191,7 +195,7 @@ def test_fit_head_slices_equal_lone_fits(domains, cfg):
 
 def test_fit_head_diverged_slice_leaves_the_others_bit_equal():
     # at lr=50 only domain 2's rff64b8 head of the reference zoo diverges
-    arch = ArchSpec.parse("rff-64-8.0", seed=4)
+    arch = ArchSpec(kind="rff", dim=64, bandwidth=8.0, seed=4)
     assert arch == reference_archs()[4]
     cfg = TrainConfig(lr=50, epochs=300)
     x, y = _reference_stack(arch, (0, 1, 2))
@@ -225,6 +229,23 @@ def test_build_zoo_single_cell(tmp_path):
     assert target.n == 30
 
 
+# two archs, or two train configs, whose tags and so model ids coincide
+PROJ3 = ArchSpec(kind="proj", dim=3)
+COLLIDING_CELLS = {
+    "ids_collide_archs": ([PROJ3, replace(PROJ3, seed=1)], [TrainConfig()]),
+    "ids_collide_grid": ([PROJ3], [TrainConfig(momentum=0.9),
+                                   TrainConfig(momentum=0.5)]),
+}
+
+
+@pytest.mark.parametrize("case", COLLIDING_CELLS)
+def test_build_zoo_refuses_colliding_ids(tmp_path, case):
+    archs, grid = COLLIDING_CELLS[case]
+    with pytest.raises(SynthError, match="duplicate model id"):
+        build_zoo(generate_scenario(mini_scenario()), archs, grid, tmp_path / "zoo")
+    assert not (tmp_path / "zoo").exists()
+
+
 def test_build_zoo_deterministic_bytes(tmp_path):
     spec = mini_scenario(seed=11)
     m1 = build_zoo(generate_scenario(spec), MINI_ARCHS, MINI_GRID,
@@ -244,7 +265,7 @@ def test_reference_zoo_accuracy_spread(tmp_path):
     """Regression target measured once from the evaluation oracle: the
     reference zoo must keep a spread of at least 30 accuracy points."""
     data = generate_scenario(reference_scenario(42))
-    manifest = build_zoo(data, reference_archs(), reference_grid(), tmp_path)
+    manifest = build_zoo(data, reference_archs(), REFERENCE_GRID, tmp_path)
     records, _ = load_zoo(manifest)
     assert len(records) == 36
     labels = read_labels(tmp_path / "target_labels.txt", data.spec.num_classes)

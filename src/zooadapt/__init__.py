@@ -4,8 +4,7 @@ adaptation for heterogeneous model zoos on an unlabeled target set."""
 from .diversity import KernelConfig, centered_factor, div_scores, hsic
 from .ensemble_adapt import (AdaptConfig, EnsembleModel, RecyclePair, adapt,
                              build_ensemble, ensemble_forward,
-                             ensemble_weights, loss_ce, loss_sim,
-                             mine_recycle_pairs, objective)
+                             ensemble_weights, mine_recycle_pairs, objective)
 from .errors import ZooAdaptError
 from .evaluate import accuracy, read_labels, spearman, summary
 from .inference import (forward, mix_outputs, predictive_semantics,

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ZooAdaptError
 from .inference import forward, mix_outputs, predictive_semantics
 from .kernels import softmax_rows
-from .sute import indicator_gd, indicator_ic
 from .tensorio import ModelRecord, read_tensor, write_tensor
 
 ADAPTED_SUFFIX = ".adapted"
@@ -124,25 +123,6 @@ def mine_recycle_pairs(model_ids: list[str], probs: list[np.ndarray],
                     best_conf[keep].tolist()))
 
 
-def loss_ce(mixture: np.ndarray, idx: np.ndarray, lab: np.ndarray) -> float:
-    """Mean cross-entropy of the mixture at the (row, label) pairs
-    (idx, lab); no pairs give 0. L_pse takes every row at its
-    pseudo-label, L_omr the recycled pairs. A zero probability gives
-    inf, which the per-epoch guard of adapt reports."""
-    if not len(idx):
-        return 0.0
-    with np.errstate(divide="ignore"):
-        return float(-np.log(mixture[idx, lab]).mean())
-
-
-def loss_sim(probs: list[np.ndarray], weights: np.ndarray) -> float:
-    """L_sim = -sum_j theta_j * nmi_j: each member's information-
-    maximization loss is its NMI baseline (certainty plus dispersity)
-    negated, and the ensemble weights combine them."""
-    return float(sum(w * -(indicator_ic(p) + indicator_gd(p))
-                     for w, p in zip(weights, probs)))
-
-
 @dataclass
 class AdaptConfig:
     gamma1: float = 0.3
@@ -163,38 +143,6 @@ class AdaptConfig:
             raise AdaptError("momentum must be in [0, 1)")
 
 
-# ---------------------------------------------------------------------------
-# Analytic gradients. L_pse and L_omr yield dL/dP_bar, L_sim yields dL/dP_j;
-# the member chain applies the softmax Jacobian and the frozen features:
-#   dL/dZ_j = theta_j * (P_j .* D - rowsum(P_j .* D) .* P_j)
-#   dL/dW_j = dL/dZ_j^T F_j,   dL/db_j = colsum(dL/dZ_j)
-# ---------------------------------------------------------------------------
-
-def _chain_to_head(d_p: np.ndarray, p: np.ndarray,
-                   features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = d_p * p
-    g_z = a - a.sum(axis=1, keepdims=True) * p
-    return g_z.T @ features, g_z.sum(axis=0)
-
-
-def _d_ce(mixture: np.ndarray, idx: np.ndarray,
-          lab: np.ndarray) -> np.ndarray:
-    d = np.zeros_like(mixture)
-    if len(idx):
-        with np.errstate(divide="ignore"):
-            d[idx, lab] = -1.0 / (len(idx) * mixture[idx, lab])
-    return d
-
-
-def _d_im(p: np.ndarray) -> np.ndarray:
-    # exact zeros in p make this unbounded; the per-epoch loss guard
-    # turns the resulting non-finite state into an AdaptError
-    n = p.shape[0]
-    mean_row = p.mean(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (np.log(mean_row)[None, :] - np.log(p)) / n
-
-
 def objective(features: list[np.ndarray], probs: list[np.ndarray],
               mixture: np.ndarray, theta: np.ndarray, labels: np.ndarray,
               pairs: list[RecyclePair], cfg: AdaptConfig):
@@ -204,22 +152,47 @@ def objective(features: list[np.ndarray], probs: list[np.ndarray],
     theta-weighted sum; pseudo-labels and recycled pairs are constants.
     Returns ((l_sim, l_pse, l_omr), [(gW, gb), ...]): the three loss
     terms and each member's head gradient of L_all.
+
+    L_pse and L_omr are the mean cross-entropy of the mixture at every
+    row's pseudo-label and at the recycled pairs (no pairs give 0); they
+    give D = dL/dP_bar. L_sim = -sum_j theta_j * (ic_j + gd_j) is each
+    member's NMI baseline negated; its gradient in P_j is
+    theta_j * (log m_j - log P_j) / n, m_j the member's mean row. The
+    loss and its gradient read one masked log of P_j and of m_j, which
+    takes 0 * log 0 as 0, so a member with exact zeros stays finite.
+    The member chain applies the softmax Jacobian and the frozen features:
+      G_j = theta_j * (D + (log m_j - log P_j) / n)
+      dL/dZ_j = P_j .* G_j - rowsum(P_j .* G_j) .* P_j
+      dL/dW_j = dL/dZ_j^T F_j,   dL/db_j = colsum(dL/dZ_j)
+    A zero mixture probability at a recycled label makes L_omr and D
+    infinite; the per-epoch guard of adapt reports it.
     """
     rows = np.arange(mixture.shape[0])
     pair_idx = np.array([p.sample_index for p in pairs], dtype=int)
     pair_lab = np.array([p.label for p in pairs], dtype=int)
-    l_sim = loss_sim(probs, theta)
-    l_pse = loss_ce(mixture, rows, labels)
-    l_omr = loss_ce(mixture, pair_idx, pair_lab)
+    ce_terms = []
+    d_mix = np.zeros_like(mixture)
+    for idx, lab, gamma in ((rows, labels, cfg.gamma1),
+                            (pair_idx, pair_lab, cfg.gamma2)):
+        picked = mixture[idx, lab]
+        with np.errstate(divide="ignore"):
+            ce_terms.append(float(-np.log(picked).mean()) if len(idx) else 0.0)
+            d_mix[idx, lab] += -1.0 / (len(idx) * picked) * gamma
 
-    d_mix = _d_ce(mixture, rows, labels) * cfg.gamma1
-    d_mix += _d_ce(mixture, pair_idx, pair_lab) * cfg.gamma2
-
+    l_sim = 0.0
     grads = []
     for t, f, p in zip(theta, features, probs):
+        mean_row = p.mean(axis=0)
+        log_p = np.log(np.where(p > 0.0, p, 1.0))
+        log_m = np.log(np.where(mean_row > 0.0, mean_row, 1.0))
+        ic = (p * log_p).sum(axis=1).mean()  # minus the mean row entropy
+        neg_gd = (mean_row * log_m).sum()  # minus the mean row's entropy
+        l_sim -= t * (ic - neg_gd)
         with np.errstate(invalid="ignore"):
-            grads.append(_chain_to_head(t * d_mix + t * _d_im(p), p, f))
-    return (l_sim, l_pse, l_omr), grads
+            a = (t * d_mix + t * ((log_m - log_p) / p.shape[0])) * p
+            g_z = a - a.sum(axis=1, keepdims=True) * p
+        grads.append((g_z.T @ f, g_z.sum(axis=0)))
+    return (float(l_sim), *ce_terms), grads
 
 
 @dataclass
@@ -260,8 +233,11 @@ def adapt(e: EnsembleModel, outliers: list[ModelRecord],
                                [forward(m) for m in outliers], cfg.tau_recycle)
 
     for epoch in range(cfg.epochs):
-        probs = [softmax_rows(f @ w.T + b)
-                 for f, w, b in zip(feats, heads_w, heads_b)]
+        # as in inference.forward: overflowing logits give non-finite
+        # probabilities, which the loss guard below reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs = [softmax_rows(f @ w.T + b)
+                     for f, w, b in zip(feats, heads_w, heads_b)]
         mixture = mix_outputs(probs, e.weights)
 
         labels = predictive_semantics(mixture)  # refreshed every epoch

@@ -61,6 +61,8 @@ class SelectionResult:
                 raise SelectionError(
                     f"model {mid!r} is listed twice in inliers and outliers")
             seen.add(mid)
+        if not doc["inliers"]:
+            raise SelectionError("selection has no inliers")
         return cls(**{k: doc[k] for k in SELECTION_KEYS})
 
     def inlier_ensemble(self, records: list[ModelRecord]
@@ -74,6 +76,7 @@ class SelectionResult:
         for mid in self.inliers:
             score = self.sutes.get(mid)
             if not (isinstance(score, (int, float))
+                    and not isinstance(score, bool)
                     and abs(score) <= sys.float_info.max):
                 raise SelectionError(
                     f"inlier {mid!r} has no finite numeric score in sutes")

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from zooadapt.cli import main
 from zooadapt.diversity import KernelConfig, centered_factor, hsic
 from zooadapt.ensemble_adapt import AdaptConfig, objective
 from zooadapt.inference import mix_outputs
 from zooadapt.kernels import softmax_rows
 from zooadapt.synthzoo import (ArchSpec, DomainTransform, ScenarioSpec,
-                               TrainConfig, build_zoo, generate_scenario)
+                               TrainConfig, build_zoo, generate_scenario,
+                               reference_scenario)
 from zooadapt.tensorio import ModelRecord
 
 
@@ -79,3 +81,14 @@ def mini_zoo(tmp_path_factory):
     out = tmp_path_factory.mktemp("mini_zoo")
     scenario = generate_scenario(mini_scenario())
     return build_zoo(scenario, MINI_ARCHS, MINI_GRID, out)
+
+
+@pytest.fixture(scope="session")
+def reference42_manifest(tmp_path_factory):
+    """Manifest path of the reference zoo at seed 42, built as the CLI
+    builds it, once per session; tests only read it."""
+    out = tmp_path_factory.mktemp("reference42")
+    scenario = out / "scenario.json"
+    scenario.write_text(reference_scenario(42).to_json())
+    assert main(["build", str(scenario), str(out / "zoo")]) == 0
+    return out / "zoo" / "manifest.json"

@@ -161,9 +161,20 @@ def test_criterion_4_mixture_kl_inequality(capfd):
            violations == 0)
 
 
-def test_criterion_5_gradient_correctness(capfd):
+def _gradient_check_instances():
+    """20 random instances, then one whose first member holds exact
+    zeros: its bias sinks class 0 in every row, and a last feature of 1
+    sinks class 1 in half the rows."""
     rng = np.random.default_rng(55)
-    worst = 0.0
+
+    def with_pairs(n, num_classes, feats, ws, bs, theta):
+        probs = [softmax_rows(f @ w.T + b) for f, w, b in zip(feats, ws, bs)]
+        labels = predictive_semantics(mix_outputs(probs, theta))
+        k = int(rng.integers(1, n))
+        pairs = [RecyclePair(int(i), int(rng.integers(num_classes)), "o", 0.99)
+                 for i in rng.choice(n, size=k, replace=False)]
+        return feats, ws, bs, theta, labels, pairs
+
     for _ in range(20):
         n = int(rng.integers(4, 8))
         num_classes = int(rng.integers(2, 5))
@@ -175,12 +186,22 @@ def test_criterion_5_gradient_correctness(capfd):
             ws.append(rng.normal(size=(num_classes, d)) * 0.5)
             bs.append(rng.normal(size=num_classes) * 0.3)
         theta = rng.dirichlet(np.ones(members))
-        probs = [softmax_rows(f @ w.T + b) for f, w, b in zip(feats, ws, bs)]
-        labels = predictive_semantics(mix_outputs(probs, theta))
-        k = int(rng.integers(1, n))
-        pairs = [RecyclePair(int(i), int(rng.integers(num_classes)), "o", 0.99)
-                 for i in rng.choice(n, size=k, replace=False)]
+        yield with_pairs(n, num_classes, feats, ws, bs, theta)
 
+    n, num_classes = 6, 3
+    feats = [np.column_stack([rng.normal(size=(n, 2)), np.arange(n) % 2]),
+             rng.normal(size=(n, 3))]
+    ws = [rng.normal(size=(num_classes, 3)) * 0.5 for _ in range(2)]
+    bs = [rng.normal(size=num_classes) * 0.3 for _ in range(2)]
+    ws[0][1, 2] = -1000.0
+    bs[0][0] = -1000.0
+    yield with_pairs(n, num_classes, feats, ws, bs, np.array([0.6, 0.4]))
+
+
+def test_criterion_5_gradient_correctness(capfd):
+    errors = []
+    for feats, ws, bs, theta, labels, pairs in _gradient_check_instances():
+        members = len(feats)
         for term in ("sim", "pse", "omr"):
             _, analytic = objective_term(term, feats, ws, bs, theta, labels,
                                          pairs)
@@ -206,7 +227,8 @@ def test_criterion_5_gradient_correctness(capfd):
                         numeric = (vp - vm) / (2 * h)
                         got = analytic[j][arr_idx][idx]
                         scale = max(abs(numeric), abs(got), 1e-8)
-                        worst = max(worst, abs(numeric - got) / scale)
+                        errors.append(abs(numeric - got) / scale)
+    worst = float(np.max(errors))  # a NaN gradient fails the check
     report(capfd, 5, f"gradient correctness: max relative error {worst:.2e}",
            worst <= 1e-4)
 

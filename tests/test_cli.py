@@ -601,6 +601,11 @@ def _bad_selection(doc: dict, case: str) -> str:
         doc["sutes"][doc["inliers"][0]] = "high"
     elif case == "inlier_score_too_large":
         doc["sutes"][doc["inliers"][0]] = 10 ** 400
+    elif case == "inlier_score_a_boolean":
+        doc["sutes"][doc["inliers"][0]] = True
+    elif case == "no_inliers":
+        doc["outliers"] += doc["inliers"]
+        doc["inliers"] = []
     elif case == "inliers_a_string":
         doc["inliers"] = doc["inliers"][0]
     elif case == "outliers_null":
@@ -627,6 +632,7 @@ def _bad_selection(doc: dict, case: str) -> str:
                                   "inlier_not_in_sutes",
                                   "inlier_score_not_a_number",
                                   "inlier_score_too_large",
+                                  "inlier_score_a_boolean", "no_inliers",
                                   "inliers_a_string", "outliers_null",
                                   "id_not_a_string", "sutes_a_list",
                                   "audit_a_string", "inlier_twice",

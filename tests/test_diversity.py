@@ -3,11 +3,9 @@ import pytest
 
 from conftest import hsic_p
 from zooadapt import diversity
-from zooadapt.cli import main
 from zooadapt.diversity import DiversityError, KernelConfig, div_scores
 from zooadapt.selection import select
 from zooadapt.sute import SuteConfig, score_zoo
-from zooadapt.synthzoo import reference_scenario
 from zooadapt.tensorio import load_zoo
 
 
@@ -137,14 +135,10 @@ def oracle_div_scores(candidates, anchors, kc):
 
 
 @pytest.fixture(scope="module")
-def reference_views(tmp_path_factory):
+def reference_views(reference42_manifest):
     """The candidates and anchors of select's diversity pass on the
     reference zoo at seed 42, built as the CLI builds it."""
-    out = tmp_path_factory.mktemp("reference42")
-    scenario = out / "scenario.json"
-    scenario.write_text(reference_scenario(42).to_json())
-    assert main(["build", str(scenario), str(out / "zoo")]) == 0
-    records, target = load_zoo(out / "zoo" / "manifest.json")
+    records, target = load_zoo(reference42_manifest)
     cfg = SuteConfig.default(target.num_classes)
     anchor_ids = set(select(records, cfg, q=0).transferable_set)
     views = score_zoo(records, cfg).rows

@@ -12,11 +12,12 @@ from zooadapt.cli import main
 from zooadapt.ensemble_adapt import (RECYCLE_BLOCK, AdaptConfig, AdaptError,
                                      AdaptHistory, EnsembleModel, RecyclePair,
                                      adapt, build_ensemble, ensemble_forward,
-                                     ensemble_weights, loss_ce, loss_sim,
-                                     mine_recycle_pairs, objective)
+                                     ensemble_weights, mine_recycle_pairs,
+                                     objective)
 from zooadapt.inference import forward, mix_outputs, predictive_semantics
 from zooadapt.kernels import softmax_rows
-from zooadapt.selection import SelectionResult
+from zooadapt.selection import SelectionResult, select
+from zooadapt.sute import SuteConfig, indicator_gd, indicator_ic
 from zooadapt.tensorio import load_zoo
 
 
@@ -268,17 +269,24 @@ def _load_workloads():
 
 # --- losses ---------------------------------------------------------------------
 
-ROWS3 = np.arange(3)
-NO_PAIRS = np.array([], dtype=int)
+def loss_terms(probs, theta=(1.0,), pairs=()):
+    """objective's (L_sim, L_pse, L_omr) for members with the given
+    probabilities, at the mixture's pseudo-labels; the features only
+    need the row count."""
+    theta = np.asarray(theta, dtype=np.float64)
+    mixture = mix_outputs(probs, theta)
+    feats = [np.zeros((p.shape[0], 1)) for p in probs]
+    pairs = [RecyclePair(i, c, "o", 0.99) for i, c in pairs]
+    terms, _ = objective(feats, probs, mixture, theta,
+                         predictive_semantics(mixture), pairs, AdaptConfig())
+    return terms
 
 
 def test_loss_pse_one_hot_and_uniform():
     one_hot = np.eye(4)[np.array([0, 2, 1])]
-    assert loss_ce(one_hot, ROWS3, predictive_semantics(one_hot)) == 0.0
+    assert loss_terms([one_hot])[1] == 0.0
     uniform = np.full((5, 4), 0.25)
-    assert loss_ce(uniform, np.arange(5),
-                   predictive_semantics(uniform)) == pytest.approx(
-        math.log(4), abs=1e-12)
+    assert loss_terms([uniform])[1] == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_loss_pse_matches_ce_oracle():
@@ -286,22 +294,30 @@ def test_loss_pse_matches_ce_oracle():
     p = rng.dirichlet(np.ones(3), size=3)
     labels = predictive_semantics(p)
     expected = np.mean([-math.log(p[i, labels[i]]) for i in range(3)])
-    assert loss_ce(p, ROWS3, labels) == pytest.approx(expected, abs=1e-12)
+    assert loss_terms([p])[1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_loss_omr_cases():
     p = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1]])
-    assert loss_ce(p, NO_PAIRS, NO_PAIRS) == 0.0
+    assert loss_terms([p])[2] == 0.0
     one_hot = np.eye(3)[np.array([2, 0])]
-    assert loss_ce(one_hot, np.array([0]), np.array([2])) == 0.0
+    assert loss_terms([one_hot], pairs=[(0, 2)])[2] == 0.0
     expected = np.mean([-math.log(0.7), -math.log(0.8)])
-    assert loss_ce(p, np.array([0, 1]), np.array([0, 1])) == pytest.approx(
+    assert loss_terms([p], pairs=[(0, 0), (1, 1)])[2] == pytest.approx(
         expected, abs=1e-12)
 
 
 def loss_im(p):
-    """One member's information-maximization loss, through loss_sim."""
-    return loss_sim([p], np.array([1.0]))
+    """One member's information-maximization loss, through objective."""
+    return loss_terms([p])[0]
+
+
+def im_oracle(p):
+    """One member's information-maximization loss, mean row entropy
+    minus the entropy of the mean row, for p without zeros."""
+    mean_row = p.mean(axis=0)
+    return float(-(p * np.log(p)).sum(axis=1).mean()
+                 + (mean_row * np.log(mean_row)).sum())
 
 
 def test_loss_im_reference_points():
@@ -318,14 +334,30 @@ def test_loss_sim_composition():
     p1 = rng.dirichlet(np.ones(3), size=6)
     p2 = rng.dirichlet(np.ones(3), size=6)
     theta = np.array([0.25, 0.75])
-
-    def im_oracle(p):
-        mean_row = p.mean(axis=0)
-        return float(-(p * np.log(p)).sum(axis=1).mean()
-                     + (mean_row * np.log(mean_row)).sum())
-
-    assert loss_sim([p1, p2], theta) == pytest.approx(
+    assert loss_terms([p1, p2], theta)[0] == pytest.approx(
         0.25 * im_oracle(p1) + 0.75 * im_oracle(p2), abs=1e-12)
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+def test_loss_sim_is_the_weighted_nmi_baseline(zeros):
+    """L_sim is -sum_j theta_j * (indicator_ic + indicator_gd), the NMI
+    baseline that scoring reports, also for members with exact zeros."""
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        members = int(rng.integers(1, 4))
+        probs = [rng.dirichlet(np.ones(4), size=7) for _ in range(members)]
+        if zeros:
+            for p in probs:
+                p[rng.random(p.shape) < 0.3] = 0.0
+            probs[0][:, 1] = 0.0  # one column empty in every row
+            for p in probs:
+                p[:, 0] += p.sum(axis=1) == 0.0  # no empty row
+                p /= p.sum(axis=1, keepdims=True)
+            assert (probs[0] == 0.0).any(axis=1).all()
+        theta = rng.dirichlet(np.ones(members))
+        expected = -sum(t * (indicator_ic(p) + indicator_gd(p))
+                        for t, p in zip(theta, probs))
+        assert loss_terms(probs, theta)[0] == expected
 
 
 # --- gradient correctness ----------------------------------------------------------
@@ -474,7 +506,7 @@ def test_adapt_matches_fd_descent_oracle():
             ps = [softmax_rows(f @ w.T + b)
                   for f, w, b in zip(feats, ws_, bs_)]
             mix = mix_outputs(ps, theta)
-            l = loss_sim(ps, theta)
+            l = sum(t * im_oracle(p) for t, p in zip(theta, ps))
             l += cfg.gamma1 * float(-np.log(
                 mix[np.arange(len(labels)), labels]).mean())
             if len(p_idx):
@@ -647,13 +679,37 @@ def test_grid_searched_weights_beat_best_single():
 
 
 def test_nonfinite_loss_aborts_with_term_name():
-    m = make_model("a", seed=23)
-    e = build_ensemble([m], [1.0])
-    # poison the features so the optimization state degenerates
-    m.features[:] *= 1e200
-    cfg = AdaptConfig(epochs=3, lr=10.0)
-    with pytest.raises(AdaptError, match="non-finite loss term L_"):
+    e = build_ensemble([make_model("a", seed=23)], [1.0])
+    # a step this large overflows the heads' logits within two epochs
+    cfg = AdaptConfig(epochs=3, lr=1e308)
+    with pytest.raises(AdaptError,
+                       match="non-finite loss term L_sim at epoch 2"):
         adapt(e, [], cfg)
+
+
+@pytest.fixture(scope="module")
+def reference42(reference42_manifest):
+    """The reference zoo at seed 42 and its default selection."""
+    records, target = load_zoo(reference42_manifest)
+    return records, select(records, SuteConfig.default(target.num_classes))
+
+
+@pytest.mark.parametrize("scale", [10.0, 20.0, 200.0])
+def test_sharp_member_with_exact_zeros_adapts(reference42, scale):
+    # the first inlier's head scaled up: its softmax underflows to exact
+    # zeros, which 0 * log 0 = 0 keeps out of L_sim and its gradient
+    records, sel = reference42
+    e, outliers = sel.inlier_ensemble(records)
+    m = e.members[0]
+    e.members[0] = m.with_head(m.weights * scale, m.bias * scale)
+    assert (forward(e.members[0]) == 0.0).any()
+    adapted, history = adapt(e, outliers, AdaptConfig())
+    assert len(history.rows) == AdaptConfig().epochs
+    assert all(math.isfinite(v) for r in history.rows for v in r.values())
+    f32_max = float(np.finfo(np.float32).max)
+    for m in adapted.members:
+        assert np.abs(m.weights).max() <= f32_max
+        assert np.abs(m.bias).max() <= f32_max
 
 
 def test_zero_mixture_probability_at_recycled_label_aborts():

@@ -71,25 +71,17 @@ class RecyclePair:
     confidence: float
 
 
-# Outliers per argmax in mine_recycle_pairs: the scan's largest temporary
-# is n x (RECYCLE_BLOCK * C), 256 KB at n=400, C=5, and never a second
-# copy of all outlier probabilities.
-RECYCLE_BLOCK = 16
-
-
 def mine_recycle_pairs(model_ids: list[str], probs: list[np.ndarray],
                        tau: float) -> list[RecyclePair]:
     """Per sample, the single most confident outlier prediction, kept
     only when its confidence exceeds tau. probs[j] holds the n x C
     target probabilities of model_ids[j]; they must be finite (a NaN
-    would win its block's argmax and hide the block's other models).
+    would win its row's argmax and hide that model's other classes).
 
     Ties on confidence go to the lowest model_id; ties on the class go
-    to the lowest index. The outliers are scanned in sorted-id blocks of
-    RECYCLE_BLOCK: one argmax over a block's concatenated columns finds
-    the first maximum in (id rank, class) order, and a block replaces
-    the running best only when strictly more confident, so an earlier
-    block wins ties.
+    to the lowest index. The outliers are scanned in sorted-id order,
+    and each replaces a row's running best only where it is strictly
+    more confident, so an earlier id wins ties.
     """
     if len(probs) != len(model_ids):
         raise AdaptError(f"{len(model_ids)} outlier ids but {len(probs)} "
@@ -100,26 +92,20 @@ def mine_recycle_pairs(model_ids: list[str], probs: list[np.ndarray],
     if len(shape) != 2 or any(p.shape != shape for p in probs):
         raise AdaptError("outlier probabilities must be n x C matrices "
                          "of one shape")
-    n, c = shape
-    order = sorted(range(len(model_ids)), key=model_ids.__getitem__)
-    rows = np.arange(n)
-    best_conf = np.full(n, -1.0)
-    best_col = np.zeros(n, dtype=np.intp)  # id rank * C + class
-    buf = np.empty((n, min(len(order), RECYCLE_BLOCK) * c))
-    for start in range(0, len(order), RECYCLE_BLOCK):
-        members = [probs[j] for j in order[start:start + RECYCLE_BLOCK]]
-        block = np.concatenate(members, axis=1,
-                               out=buf[:, :len(members) * c])
-        cols = block.argmax(axis=1)
-        confs = block[rows, cols]
+    rows = np.arange(shape[0])
+    best_conf = np.full(shape[0], -1.0)
+    best_label = np.zeros(shape[0], dtype=np.intp)
+    best_model = np.zeros(shape[0], dtype=np.intp)
+    for j in sorted(range(len(model_ids)), key=model_ids.__getitem__):
+        labels = probs[j].argmax(axis=1)
+        confs = probs[j][rows, labels]
         better = confs > best_conf
         best_conf[better] = confs[better]
-        best_col[better] = cols[better] + start * c
+        best_label[better] = labels[better]
+        best_model[better] = j
     keep = np.flatnonzero(best_conf > tau)
-    rank, label = np.divmod(best_col[keep], c)
-    ranked_ids = [model_ids[j] for j in order]
-    return list(map(RecyclePair, keep.tolist(), label.tolist(),
-                    map(ranked_ids.__getitem__, rank.tolist()),
+    return list(map(RecyclePair, keep.tolist(), best_label[keep].tolist(),
+                    map(model_ids.__getitem__, best_model[keep].tolist()),
                     best_conf[keep].tolist()))
 
 
@@ -279,12 +265,18 @@ def write_adapted_heads(e: EnsembleModel) -> list[str]:
 
 
 def read_adapted_heads(members: list[ModelRecord]) -> list[ModelRecord]:
-    """The members with the heads that write_adapted_heads left on disk."""
+    """The members with the heads that write_adapted_heads left on disk;
+    each tensor must have the shape of the member's head."""
     adapted = []
     for m in members:
-        wp, bp = adapted_paths(m)
-        adapted.append(m.with_head(read_tensor(wp).astype(np.float64),
-                                   read_tensor(bp).astype(np.float64)))
+        head = []
+        for path, want in zip(adapted_paths(m), (m.weights, m.bias)):
+            t = read_tensor(path)
+            if t.shape != want.shape:
+                raise AdaptError(f"{path}: shape {t.shape}, but the head of "
+                                 f"{m.model_id!r} is {want.shape}")
+            head.append(t.astype(np.float64))
+        adapted.append(m.with_head(*head))
     return adapted
 
 

@@ -154,6 +154,8 @@ def select(models: list[ModelRecord], cfg: SuteConfig, q: int = 2,
            kc: KernelConfig = KernelConfig()) -> SelectionResult:
     """Full selection: greedy transferable set, then diversity set from
     the remaining finite-score models, then the inlier/outlier split."""
+    if not models:
+        raise SelectionError("zoo has no models")
     views = score_zoo(models, cfg).rows
     members, audit = _greedy(views, cfg)
     tr_ids = [v.model_id for v in members]

@@ -189,7 +189,9 @@ def load_zoo(manifest_path) -> tuple[list[ModelRecord], TargetBundle]:
     records: list[ModelRecord] = []
     seen: set[str] = set()
     features: dict[Path, np.ndarray] = {}
-    models = doc.get("models", [])
+    if "models" not in doc:
+        raise ManifestError(f"{manifest_path}: missing key 'models'")
+    models = doc["models"]
     if not isinstance(models, list):
         raise ManifestError(f"{manifest_path}: models must be a list")
     for index, entry in enumerate(models):

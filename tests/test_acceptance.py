@@ -129,7 +129,7 @@ def test_criterion_3_adaptation_gain(work, capfd):
         assert cli_main(["eval", str(man), str(zoo / "target_labels.txt"),
                          str(sel), "-o", str(out / "eval.csv"),
                          "--summary", str(summ), "--adapted"]) == 0
-        metrics = dict(r for r in csv.reader(summ.open()) if r)
+        metrics = dict(r for r in csv.reader(summ.read_text().splitlines()) if r)
         pre = float(metrics["selected_ensemble_accuracy"])
         post = float(metrics["adapted_ensemble_accuracy"])
         gains[seed] = 100 * (post - pre)

@@ -541,14 +541,17 @@ def test_manifest_entry_missing_key(zoo, tmp_path, capsys, key):
     ("domain", 3, "key 'domain' must be a string"),
     ("features", 5, "key 'features' must be a string"),
     ("meta", 5, "key 'meta' must be an object"),
-    ("models", 5, "models must be a list")],
+    ("models", 5, "models must be a list"),
+    ("models", None, "missing key 'models'")],
     ids=["id_a_list", "domain_a_number", "features_a_number",
-         "meta_a_number", "models_a_number"])
+         "meta_a_number", "models_a_number", "models_missing"])
 def test_manifest_value_of_wrong_type(zoo, tmp_path, capsys, key, value,
                                       message):
     doc = _absolute_manifest(zoo)
     name = doc["models"][1]["id"]
-    if key == "models":
+    if key == "models" and value is None:
+        del doc["models"]
+    elif key == "models":
         doc["models"] = value
     else:
         doc["models"][1][key] = value
@@ -690,7 +693,9 @@ def test_eval_refuses_flags_that_write_nothing(zoo, tmp_path, capsys, case):
     assert not out.exists() and not summary.exists()
 
 
-@pytest.mark.parametrize("case", ["fewer_than_3_models", "adapted_not_run"])
+@pytest.mark.parametrize("case", ["fewer_than_3_models", "adapted_not_run",
+                                  "adapted_weights_wrong_shape",
+                                  "adapted_bias_wrong_shape"])
 def test_eval_writes_nothing_when_its_summary_fails(one_model_zoo, tmp_path,
                                                     capsys, case):
     if case == "fewer_than_3_models":
@@ -702,6 +707,18 @@ def test_eval_writes_nothing_when_its_summary_fails(one_model_zoo, tmp_path,
         error = "missing file: "
         sel = tmp_path / "sel.json"
         assert main(["select", str(manifest), "-o", str(sel), "--q", "1"]) == 0
+        if case != "adapted_not_run":
+            assert main(["adapt", str(manifest), str(sel), "-o",
+                         str(tmp_path / "h.csv")]) == 0
+            first = json.loads(sel.read_text())["inliers"][0]
+            entry = next(e for e in json.loads(manifest.read_text())["models"]
+                         if e["id"] == first)
+            key = "weights" if case == "adapted_weights_wrong_shape" else "bias"
+            path = manifest.parent / (entry[key] + ".adapted")
+            head = read_tensor(path)
+            write_tensor(np.zeros(head.shape[:-1] + (head.shape[-1] + 1,)),
+                         path)
+            error = f"AdaptError: {path}: shape "
         capsys.readouterr()
         extra = [str(sel), "--adapted"]
     out, summary = tmp_path / "eval.csv", tmp_path / "sum.csv"

@@ -9,9 +9,9 @@ import pytest
 from conftest import make_model, objective_term
 from zooadapt import ensemble_adapt
 from zooadapt.cli import main
-from zooadapt.ensemble_adapt import (RECYCLE_BLOCK, AdaptConfig, AdaptError,
-                                     AdaptHistory, EnsembleModel, RecyclePair,
-                                     adapt, build_ensemble, ensemble_forward,
+from zooadapt.ensemble_adapt import (AdaptConfig, AdaptError, AdaptHistory,
+                                     EnsembleModel, RecyclePair, adapt,
+                                     build_ensemble, ensemble_forward,
                                      ensemble_weights, mine_recycle_pairs,
                                      objective)
 from zooadapt.inference import forward, mix_outputs, predictive_semantics
@@ -113,29 +113,26 @@ def test_single_confident_pair():
     assert p.confidence > 0.95
 
 
-def oracle_pairs(outliers, tau):
-    """Brute force over every (model, sample) pair."""
-    by_id = {m.model_id: forward(m) for m in outliers}
-    n = next(iter(by_id.values())).shape[0]
+def brute_force_pairs(model_ids, probs, tau):
+    """Per sample, every (model, class) probability in (sorted id, class)
+    order; the first strictly largest is kept when it exceeds tau."""
     out = []
-    for i in range(n):
+    for i in range(probs[0].shape[0]):
         best = None
-        for mid in sorted(by_id):
-            row = by_id[mid][i]
-            conf, lab = float(row.max()), int(np.argmax(row))
-            if best is None or conf > best[0]:
-                best = (conf, mid, lab)
+        for mid, p in sorted(zip(model_ids, probs), key=lambda t: t[0]):
+            for lab, conf in enumerate(p[i].tolist()):
+                if best is None or conf > best[0]:
+                    best = (conf, lab, mid)
         if best[0] > tau:
-            out.append((i, best[2], best[1]))
+            out.append(RecyclePair(i, best[1], best[2], best[0]))
     return out
 
 
 def test_recycling_matches_bruteforce_oracle():
     a = _confidence_model("oa", [(0, 2, 40.0), (1, 0, 2.0)])
     b = _confidence_model("ob", [(1, 1, 35.0), (0, 2, 20.0)])
-    pairs = mine_recycle_pairs(["oa", "ob"], [forward(a), forward(b)], tau=0.9)
-    assert [(p.sample_index, p.label, p.model_id) for p in pairs] == \
-        oracle_pairs([a, b], 0.9)
+    args = (["oa", "ob"], [forward(a), forward(b)], 0.9)
+    assert mine_recycle_pairs(*args) == brute_force_pairs(*args)
 
 
 def test_recycling_tie_goes_to_lowest_model_id():
@@ -150,8 +147,8 @@ def test_empty_outliers_empty_pairs():
 
 
 def loop_mine_recycle_pairs(model_ids, probs, tau):
-    """Reference for the blocked scan: one argmax per model, in sorted-id
-    order, then one Python pass over the samples."""
+    """Reference for the running maximum: one argmax per model, in
+    sorted-id order, then one Python pass over the samples."""
     n = probs[0].shape[0]
     best_conf = np.full(n, -1.0)
     best_label = np.zeros(n, dtype=int)
@@ -176,19 +173,34 @@ def loop_mine_recycle_pairs(model_ids, probs, tau):
 def assert_same_pairs(model_ids, probs, tau):
     pairs = mine_recycle_pairs(model_ids, probs, tau)
     assert pairs == loop_mine_recycle_pairs(model_ids, probs, tau)
+    assert pairs == brute_force_pairs(model_ids, probs, tau)
     for p in pairs:
         assert (type(p.sample_index), type(p.label), type(p.confidence)) \
             == (int, int, float)
     return pairs
 
 
+def assert_strict_threshold(model_ids, probs, kept, at):
+    """At tau equal to the confidence of the kept pair `at`, exactly the
+    kept pairs above it survive: a best confidence equal to tau is
+    dropped."""
+    pairs = assert_same_pairs(model_ids, probs, at.confidence)
+    assert pairs == [p for p in kept if p.confidence > at.confidence]
+    assert at not in pairs
+
+
+# Sorted-id groups of the tied cases: equal maxima sit on the last id of
+# one group and the first of the next, and on two ids inside one group.
+RECYCLE_BLOCK = 16
+
+
 def _tied_outliers(seed, n, c=5):
-    """3 blocks and a part of outliers with unsorted, non-contiguous ids.
+    """3 groups and a part of outliers with unsorted, non-contiguous ids.
     Rows come from a four-row palette (one confident, a two-class tie, a
     weaker one and a uniform row) with shuffled columns, so confidences
-    tie within and across blocks and classes tie within rows. Row 0
-    places equal maxima on the last model of the first block and the
-    first of the second; row 1 (n > 1) on two models inside one block."""
+    tie within and across groups and classes tie within rows. Row 0
+    places equal maxima on the last model of the first group and the
+    first of the second; row 1 (n > 1) on two models inside one group."""
     rng = np.random.default_rng(seed)
     m = 3 * RECYCLE_BLOCK + 5
     ids = [f"o{k:04d}" for k in rng.choice(10_000, size=m, replace=False)]
@@ -220,10 +232,11 @@ def test_blocked_mining_matches_per_model_loop(seed, n):
         if tau == 0.1:
             assert len(pairs) == n
     first = mine_recycle_pairs(ids, probs, 0.95)
-    # the tie across the block boundary goes to the earlier block
+    # the tie across the group edge goes to the lower id
     assert (first[0].sample_index, first[0].label, first[0].model_id) == \
         (0, 2, ids[ranked[RECYCLE_BLOCK - 1]])
-    if n > 1:  # a tie inside a block: the lower id, then the lower class
+    assert_strict_threshold(ids, probs, first, first[0])
+    if n > 1:  # a tie inside a group: the lower id, then the lower class
         p = mine_recycle_pairs(ids, probs, 0.4)[1]
         assert (p.sample_index, p.label, p.model_id) == (1, 3, ids[ranked[3]])
 
@@ -257,6 +270,9 @@ def test_blocked_mining_matches_loop_on_large_zoo(tmp_path):
     probs = [forward(m) for m in outliers]
     for tau in (AdaptConfig().tau_recycle, 0.5):
         assert assert_same_pairs(ids, probs, tau)
+    kept = mine_recycle_pairs(ids, probs, 0.5)
+    middle = sorted(kept, key=lambda p: p.confidence)[len(kept) // 2]
+    assert_strict_threshold(ids, probs, kept, middle)
 
 
 def _load_workloads():
@@ -590,9 +606,9 @@ def adapt_mining_every_epoch(e, outliers, cfg):
 
 
 def _recycling_zoo(n=30):
-    """Three inliers and 20 outliers, more than one block, on one n-row
-    target; the outliers' sharp heads give recycled pairs from several
-    blocks."""
+    """Three inliers and 20 outliers, more than one sorted-id group of
+    RECYCLE_BLOCK, on one n-row target; the outliers' sharp heads give
+    recycled pairs from several groups."""
     members = [make_model(f"in{k}", seed=40 + k, n=n) for k in range(3)]
     others = [make_model(f"out{k:02d}", seed=60 + k, n=n, spread=6.0)
               for k in range(20)]

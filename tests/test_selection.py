@@ -126,6 +126,11 @@ def test_all_rejected_raises():
         select(models, cfg, q=0)
 
 
+def test_empty_zoo_raises():
+    with pytest.raises(SelectionError, match="zoo has no models"):
+        select([], SuteConfig.default(3), q=0)
+
+
 def test_sentinel_models_are_skipped_not_counted():
     good = [make_model(f"g{i}", seed=80 + i) for i in range(2)]
     bad = collapsed_model("zbad", seed=85)

@@ -8,6 +8,7 @@ seeded, so reruns with identical inputs produce byte-identical outputs.
 
 import argparse
 import errno
+import os
 import sys
 from pathlib import Path
 
@@ -94,7 +95,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    _check_outputs([args.out])
+    _check_outputs([args.out], [args.manifest])
     records, target = load_zoo(args.manifest)
     report = score_zoo(records, SuteConfig.default(target.num_classes))
     report.write_csv(args.out)
@@ -103,7 +104,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_select(args) -> int:
-    _check_outputs([args.out])
+    _check_outputs([args.out], [args.manifest])
     records, target = load_zoo(args.manifest)
     result = select(records, SuteConfig.default(target.num_classes), q=args.q,
                     kc=KernelConfig.parse(args.kernel))
@@ -121,7 +122,8 @@ def cmd_adapt(args) -> int:
     sel = SelectionResult.from_json(read_text(args.selection))
     ensemble, outliers = sel.inlier_ensemble(records)
     _check_outputs([args.out, *(path for m in ensemble.members
-                                for path in adapted_paths(m))])
+                                for path in adapted_paths(m))],
+                   [args.manifest, args.selection])
     adapted, history = adapt(ensemble, outliers, AdaptConfig())
     history.write_csv(args.out)
     write_adapted_heads(adapted)
@@ -132,7 +134,8 @@ def cmd_adapt(args) -> int:
 def cmd_eval(args) -> int:
     if args.adapted and not (args.summary and args.selection):
         raise ZooAdaptError("eval --adapted needs --summary and a selection")
-    _check_outputs(filter(None, (args.out, args.summary)))
+    _check_outputs(filter(None, (args.out, args.summary)),
+                   filter(None, (args.manifest, args.labels, args.selection)))
     records, target = load_zoo(args.manifest)
     labels = read_labels(args.labels, target.num_classes)
     if len(labels) != target.n:
@@ -157,15 +160,21 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _check_outputs(paths) -> None:
-    """Raise before a stage writes anything if one of its output paths is
-    a directory or lies in no directory, so it leaves no outputs behind."""
+def _check_outputs(paths, inputs) -> None:
+    """Raise before a stage writes anything if an output path is a
+    directory, lies in no directory, or is an input or an earlier output."""
+    # realpath, unlike Path.resolve, leaves a symlink loop to the read
+    taken = {os.path.realpath(p): f"input {p}" for p in inputs}
     for path in map(Path, paths):
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, "output is a directory",
                                     str(path))
         if not path.parent.is_dir():
             raise ZooAdaptError(f"output {path}: no directory {path.parent}")
+        key = os.path.realpath(path)
+        if key in taken:
+            raise ZooAdaptError(f"output {path}: same file as {taken[key]}")
+        taken[key] = f"output {path}"
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ refreshed at every epoch boundary. The recycled outlier pairs are mined
 once per adapt: the outlier heads stay frozen and tau is fixed.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import ZooAdaptError
 from .inference import forward, mix_outputs, predictive_semantics
 from .kernels import softmax_rows
-from .tensorio import ModelRecord, read_tensor, write_tensor
+from .tensorio import ModelRecord, read_tensor, write_csv, write_tensor
 
 ADAPTED_SUFFIX = ".adapted"
 
@@ -191,12 +190,8 @@ class AdaptHistory:
                           "L_omr": l_omr, "L_all": l_all})
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            out = csv.writer(fh, lineterminator="\n")
-            out.writerow(["epoch", "L_sim", "L_pse", "L_omr", "L_all"])
-            for r in self.rows:
-                out.writerow([r["epoch"], repr(r["L_sim"]), repr(r["L_pse"]),
-                              repr(r["L_omr"]), repr(r["L_all"])])
+        header = ["epoch", "L_sim", "L_pse", "L_omr", "L_all"]
+        write_csv(path, header, ([r[k] for k in header] for r in self.rows))
 
 
 def adapt(e: EnsembleModel, outliers: list[ModelRecord],

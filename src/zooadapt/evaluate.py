@@ -2,7 +2,6 @@
 rank correlation and `eval`'s two reports. Scoring, selection and
 adaptation never import this module. Label errors raise SynthError."""
 
-import csv
 import math
 import sys
 from typing import NamedTuple
@@ -11,9 +10,9 @@ import numpy as np
 
 from .ensemble_adapt import EnsembleModel, ensemble_forward
 from .inference import mix_outputs
-from .sute import REJECTED_CSV, TransferabilityReport
+from .sute import TransferabilityReport
 from .synthzoo import SynthError
-from .tensorio import read_text
+from .tensorio import read_text, write_csv
 
 
 def read_labels(path, num_classes: int) -> np.ndarray:
@@ -39,16 +38,11 @@ def accuracy(p: np.ndarray, labels: np.ndarray) -> float:
 def write_eval_csv(path, report: TransferabilityReport,
                    accs: dict[str, float]) -> None:
     """Per-model rows in rank order, each with its accuracy."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["model_id", "domain", "arch", "sute", "ane", "nmi",
-                      "rank", "accuracy"])
-        for rank, r in enumerate(report.ranked(), 1):
-            sute = r.components.sute
-            out.writerow([r.model_id, r.domain_id, r.arch_tag,
-                          REJECTED_CSV if sute is None else repr(sute),
-                          repr(r.ane), repr(r.nmi), rank,
-                          repr(accs[r.model_id])])
+    write_csv(path, ["model_id", "domain", "arch", "sute", "ane", "nmi",
+                     "rank", "accuracy"],
+              ([r.model_id, r.domain_id, r.arch_tag, r.components.sute,
+                r.ane, r.nmi, rank, accs[r.model_id]]
+               for rank, r in enumerate(report.ranked(), 1)))
 
 
 def summary(report: TransferabilityReport, accs: dict[str, float],
@@ -81,10 +75,7 @@ def summary(report: TransferabilityReport, accs: dict[str, float],
 
 
 def write_summary(path, rows: list[tuple[str, float]]) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["metric", "value"])
-        out.writerows([name, repr(float(value))] for name, value in rows)
+    write_csv(path, ["metric", "value"], rows)
 
 
 class SpearmanResult(NamedTuple):

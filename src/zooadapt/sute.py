@@ -10,7 +10,6 @@ rejection is carried as an explicit sentinel (None), never as a float
 infinity, so downstream softmax weighting cannot misuse it.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -20,9 +19,7 @@ from .errors import ZooAdaptError
 from .inference import (forward, mix_outputs, predictive_semantics,
                         structural_semantics)
 from .kernels import entropy_rows
-from .tensorio import ModelRecord
-
-REJECTED_CSV = "-inf"
+from .tensorio import ModelRecord, write_csv
 
 
 class SuteError(ZooAdaptError):
@@ -203,19 +200,12 @@ class TransferabilityReport:
         return sorted(self.rows, key=key)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            out = csv.writer(fh, lineterminator="\n")
-            out.writerow(["model_id", "domain", "arch", "ic", "sc", "gd",
-                          "phi_gd", "sute", "ane", "nmi", "rank"])
-            for rank, r in enumerate(self.ranked(), 1):
-                c = r.components
-                out.writerow([
-                    r.model_id, r.domain_id, r.arch_tag,
-                    repr(c.ic), repr(c.sc), repr(c.gd),
-                    REJECTED_CSV if c.phi_gd is None else repr(c.phi_gd),
-                    REJECTED_CSV if c.sute is None else repr(c.sute),
-                    repr(r.ane), repr(r.nmi), rank,
-                ])
+        write_csv(path, ["model_id", "domain", "arch", "ic", "sc", "gd",
+                         "phi_gd", "sute", "ane", "nmi", "rank"],
+                  ([r.model_id, r.domain_id, r.arch_tag, r.components.ic,
+                    r.components.sc, r.components.gd, r.components.phi_gd,
+                    r.components.sute, r.ane, r.nmi, rank]
+                   for rank, r in enumerate(self.ranked(), 1)))
 
 
 def score_zoo(records: list[ModelRecord], cfg: SuteConfig) -> TransferabilityReport:

@@ -1,4 +1,5 @@
-"""On-disk formats: dense float32 tensors (ZTF) and the zoo manifest.
+"""On-disk formats: dense float32 tensors (ZTF), the zoo manifest and
+the CSV reports every stage writes.
 
 ZTF layout: magic ``ZTF1``, u32-le rank, rank x u32-le dims, then the
 row-major IEEE-754 binary32 little-endian payload. Tensors are float32
@@ -14,6 +15,7 @@ loader reads each distinct features file once and gives every record
 that names it the same read-only array.
 """
 
+import csv
 import json
 import struct
 from dataclasses import dataclass, replace
@@ -152,6 +154,16 @@ def read_text(path) -> str:
                             f"{e.start})")
 
 
+def write_csv(path, header, rows) -> None:
+    """Write the header, then each row, with LF line ends. A None cell is
+    a rejected score and reads -inf; csv writes every other cell with
+    str, which for a float is the shortest repr that round-trips."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(["-inf" if x is None else x for x in row] for row in rows)
+
+
 def save_manifest(path, models: list[dict], target: dict) -> None:
     doc = {"version": 1, "target": target, "models": models}
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
@@ -194,6 +206,8 @@ def load_zoo(manifest_path) -> tuple[list[ModelRecord], TargetBundle]:
     models = doc["models"]
     if not isinstance(models, list):
         raise ManifestError(f"{manifest_path}: models must be a list")
+    if not models:
+        raise ManifestError(f"{manifest_path}: zoo has no models")
     for index, entry in enumerate(models):
         if not isinstance(entry, dict):
             raise ManifestError(f"model #{index}: entry is not an object")

@@ -542,9 +542,11 @@ def test_manifest_entry_missing_key(zoo, tmp_path, capsys, key):
     ("features", 5, "key 'features' must be a string"),
     ("meta", 5, "key 'meta' must be an object"),
     ("models", 5, "models must be a list"),
-    ("models", None, "missing key 'models'")],
+    ("models", None, "missing key 'models'"),
+    ("models", [], "zoo has no models")],
     ids=["id_a_list", "domain_a_number", "features_a_number",
-         "meta_a_number", "models_a_number", "models_missing"])
+         "meta_a_number", "models_a_number", "models_missing",
+         "models_empty"])
 def test_manifest_value_of_wrong_type(zoo, tmp_path, capsys, key, value,
                                       message):
     doc = _absolute_manifest(zoo)
@@ -771,6 +773,11 @@ A_DIRECTORY = ["labels_a_directory", "selection_a_directory",
 NO_DIRECTORY = ["estimate_out_no_directory", "select_out_no_directory",
                 "adapt_out_no_directory", "eval_out_no_directory",
                 "summary_no_directory"]
+# an output path that names one of the stage's inputs or another output
+ALIASED = ["summary_is_out", "estimate_out_is_manifest",
+           "select_out_is_manifest", "eval_out_is_selection",
+           "eval_out_is_labels", "adapt_out_is_selection",
+           "adapt_out_is_adapted_head"]
 
 
 @pytest.mark.parametrize("case,error", [
@@ -778,11 +785,12 @@ NO_DIRECTORY = ["estimate_out_no_directory", "select_out_no_directory",
     ("labels", "SynthError"), ("labels_wrong_count", "SynthError"),
     ("scenario", "SynthError"), *[(case, "AdaptError") for case in ADAPT_LR]]
     + [(case, "SynthError") for case in SCENARIO_VALUES]
-    + [(case, "ZooAdaptError") for case in NOT_UTF8 + NO_DIRECTORY]
-    + [(case, "IsADirectoryError") for case in A_DIRECTORY])
+    + [(case, "ZooAdaptError") for case in NOT_UTF8 + NO_DIRECTORY + ALIASED]
+    + [(case, "IsADirectoryError") for case in A_DIRECTORY]
+    + [("manifest_a_symlink_loop", "OSError")])
 def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, monkeypatch, case,
                                     error):
-    if case in ("adapted_a_directory", "adapt_out_no_directory"):
+    if case in ("adapted_a_directory", "adapt_out_no_directory", *ALIASED):
         # a copy without adapted heads keeps the shared zoo whole
         zoo = Path(shutil.copytree(zoo.parent, tmp_path / "zoo_copy",
                                    ignore=shutil.ignore_patterns("*.adapted"))
@@ -804,6 +812,9 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, monkeypatch, case,
     binary.write_bytes(b"\x80\xff\x00ZTF")
     a_dir = tmp_path / "a_dir"
     a_dir.mkdir()
+    loop = tmp_path / "loop"
+    loop.symlink_to(tmp_path / "loop_back")
+    (tmp_path / "loop_back").symlink_to(loop)
     good_labels = str(zoo.parent / "target_labels.txt")
     n = len(Path(good_labels).read_text().split())
     short = tmp_path / "short.txt"
@@ -813,7 +824,8 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, monkeypatch, case,
     out_no_dir = ["-o", str(no_dir / "out")]
     build = ["build", str(scen), str(tmp_path / "zoo")]
     sel = tmp_path / "sel.json"
-    if case in (*ADAPT_LR, "adapted_a_directory", "adapt_out_no_directory"):
+    if case in (*ADAPT_LR, "adapted_a_directory", "adapt_out_no_directory",
+                *ALIASED):
         assert main(["select", str(zoo), "-o", str(sel), "--q", "1"]) == 0
         capsys.readouterr()
     if case == "adapted_a_directory":
@@ -827,6 +839,12 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, monkeypatch, case,
         blocked.unlink()
         blocked.mkdir()
     adapted = _adapted_digests(zoo)
+    inputs = {p: p.read_bytes() for p in (zoo, sel, Path(good_labels))
+              if p.is_file()}
+    head = None  # the first inlier's adapted weights path
+    if sel.is_file():
+        first = json.loads(sel.read_text())["inliers"][0]
+        head = zoo.parent / f"{first}.weights.ztf.adapted"
     argv = {
         **{k: ["select", str(zoo), "-o", str(sel), "--kernel", v]
            for k, v in KERNEL_VALUES.items()},
@@ -850,12 +868,28 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, monkeypatch, case,
                                 str(a_dir)] + eval_out,
         "adapted_a_directory": ["adapt", str(zoo), str(sel), "-o",
                                 str(tmp_path / "h.csv")],
+        "manifest_a_symlink_loop": ["estimate", str(loop), "-o",
+                                    str(tmp_path / "est.csv")],
         "estimate_out_no_directory": ["estimate", str(zoo)] + out_no_dir,
         "select_out_no_directory": ["select", str(zoo)] + out_no_dir,
         "adapt_out_no_directory": ["adapt", str(zoo), str(sel)] + out_no_dir,
         "eval_out_no_directory": ["eval", str(zoo), good_labels] + out_no_dir,
         "summary_no_directory": ["eval", str(zoo), good_labels, "--summary",
                                  str(no_dir / "out")] + eval_out,
+        "summary_is_out": ["eval", str(zoo), good_labels, str(sel),
+                           "--summary", str(tmp_path / "eval.csv")] + eval_out,
+        # another spelling of the manifest's path
+        "estimate_out_is_manifest": ["estimate", str(zoo), "-o", str(
+            zoo.parent / ".." / zoo.parent.name / zoo.name)],
+        "select_out_is_manifest": ["select", str(zoo), "-o", str(zoo)],
+        "eval_out_is_selection": ["eval", str(zoo), good_labels, str(sel),
+                                  "-o", str(sel)],
+        "eval_out_is_labels": ["eval", str(zoo), good_labels,
+                               "-o", good_labels],
+        "adapt_out_is_selection": ["adapt", str(zoo), str(sel),
+                                   "-o", str(sel)],
+        "adapt_out_is_adapted_head": ["adapt", str(zoo), str(sel),
+                                      "-o", str(head)],
     }.get(case, build)
     line = _single_error_line(capsys, main(argv))
     assert error in line
@@ -867,6 +901,11 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, monkeypatch, case,
         assert str(blocked) in line and not any(blocked.iterdir())
     if case in NO_DIRECTORY:
         assert f"output {no_dir / 'out'}: no directory {no_dir}" in line
+    if case in ALIASED:
+        assert "same file as" in line
+    if case == "adapt_out_is_adapted_head":
+        assert not head.exists()
+    assert {p: p.read_bytes() for p in inputs} == inputs
     assert not no_dir.exists()
     assert not (tmp_path / "zoo").exists()
     assert not (tmp_path / "est.csv").exists()

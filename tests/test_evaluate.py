@@ -1,6 +1,7 @@
 """Label-blindness by construction: evaluate.py holds the code that reads
 target labels, and only the CLI and the package root import it, so
-scoring, selection and adaptation cannot reach the labels."""
+scoring, selection and adaptation cannot reach the labels. The same AST
+walk checks that one module writes every CSV file."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,19 @@ def test_label_side_functions_are_defined_only_in_evaluate():
                     and node.name in LABEL_SIDE:
                 defined.setdefault(node.name, []).append(name)
     assert defined == {fn: ["evaluate.py"] for fn in LABEL_SIDE}
+
+
+def _imports_csv(tree: ast.Module) -> bool:
+    return any(isinstance(node, ast.Import)
+               and any(a.name.split(".")[0] == "csv" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.level == 0
+               and (node.module or "").split(".")[0] == "csv"
+               for node in ast.walk(tree))
+
+
+def test_only_tensorio_imports_csv():
+    """Every CSV file is written by tensorio.write_csv, so its dialect,
+    float form and rejected-score sentinel are decided in one module."""
+    importers = {name for name, tree in _modules().items()
+                 if _imports_csv(tree)}
+    assert importers == {"tensorio.py"}

@@ -1,5 +1,8 @@
+import csv
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,7 +18,7 @@ from zooadapt.synthzoo import TrainConfig, build_zoo, generate_scenario
 from zooadapt.tensorio import (BadMagicError, DimOverflowError, ManifestError,
                                NonFiniteValueError, PayloadLengthError,
                                load_zoo, read_tensor, save_manifest,
-                               write_tensor)
+                               write_csv, write_tensor)
 
 
 def test_round_trip_identity_and_identical_bytes(tmp_path):
@@ -82,6 +85,50 @@ def test_round_trip_many_random_tensors(tmp_path):
         back = read_tensor(p)
         assert back.shape == t.shape
         assert (back == t).all()
+
+
+# --- CSV reports ------------------------------------------------------------
+
+def _read_csv(path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_csv_float_cells_parse_back_bit_exactly(tmp_path):
+    rng = np.random.default_rng(0)
+    # random bit patterns reach every exponent, subnormals included
+    drawn = rng.integers(0, 2 ** 64, size=4000, dtype=np.uint64).view(np.float64)
+    values = [5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+              1.7976931348623157e308, -0.0, 0.0, 0.1, 1 / 3,
+              *map(float, drawn[np.isfinite(drawn)])]
+    p = tmp_path / "f.csv"
+    write_csv(p, ["value", "twice"], ([v, v] for v in values))
+    rows = _read_csv(p)
+    assert rows[0] == ["value", "twice"] and len(rows) == len(values) + 1
+    for v, (cell, again) in zip(values, rows[1:]):
+        assert cell == again == repr(v)
+        assert struct.pack("<d", float(cell)) == struct.pack("<d", v)
+
+
+def test_csv_nan_none_int_and_str_cells(tmp_path):
+    p = tmp_path / "c.csv"
+    write_csv(p, ["model_id", "sute", "rank", "acc"],
+              [["dom1-poly2", None, 7, math.nan], ["a,b", 1.5, -2, None]])
+    assert _read_csv(p) == [["model_id", "sute", "rank", "acc"],
+                            ["dom1-poly2", "-inf", "7", "nan"],
+                            ["a,b", "1.5", "-2", "-inf"]]
+
+
+def test_csv_lines_end_in_lf_only(tmp_path):
+    p = tmp_path / "lf.csv"
+    write_csv(p, ["a", "b"], [[1, 2.0], ["x", None]])
+    assert p.read_bytes() == b"a,b\n1,2.0\nx,-inf\n"
+
+
+def test_csv_without_rows_is_header_only(tmp_path):
+    p = tmp_path / "h.csv"
+    write_csv(p, ["metric", "value"], iter([]))
+    assert p.read_bytes() == b"metric,value\n"
 
 
 # --- zoo loading ------------------------------------------------------------

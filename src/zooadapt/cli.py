@@ -20,7 +20,7 @@ from .errors import ZooAdaptError
 from .evaluate import (accuracy, read_labels, summary, write_eval_csv,
                        write_summary)
 from .selection import SelectionResult, select
-from .sute import SuteConfig, score_zoo
+from .sute import score_zoo
 from .synthzoo import (REFERENCE_GRID, ScenarioSpec, SynthError, build_zoo,
                        generate_scenario, reference_archs)
 from .tensorio import load_zoo, read_text
@@ -95,19 +95,18 @@ def cmd_build(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    _check_outputs([args.out], [args.manifest])
-    records, target = load_zoo(args.manifest)
-    report = score_zoo(records, SuteConfig.default(target.num_classes))
+    records, _ = load_zoo(args.manifest)
+    _check_outputs([args.out], [args.manifest], records)
+    report = score_zoo(records)
     report.write_csv(args.out)
     print(f"estimated {len(records)} models -> {args.out}")
     return 0
 
 
 def cmd_select(args) -> int:
-    _check_outputs([args.out], [args.manifest])
-    records, target = load_zoo(args.manifest)
-    result = select(records, SuteConfig.default(target.num_classes), q=args.q,
-                    kc=KernelConfig.parse(args.kernel))
+    records, _ = load_zoo(args.manifest)
+    _check_outputs([args.out], [args.manifest], records)
+    result = select(records, q=args.q, kc=KernelConfig.parse(args.kernel))
     result.write_json(args.out)
     print(f"inliers={len(result.inliers)} outliers={len(result.outliers)} "
           f"-> {args.out}")
@@ -123,7 +122,7 @@ def cmd_adapt(args) -> int:
     ensemble, outliers = sel.inlier_ensemble(records)
     _check_outputs([args.out, *(path for m in ensemble.members
                                 for path in adapted_paths(m))],
-                   [args.manifest, args.selection])
+                   [args.manifest, args.selection], records)
     adapted, history = adapt(ensemble, outliers, AdaptConfig())
     history.write_csv(args.out)
     write_adapted_heads(adapted)
@@ -134,8 +133,6 @@ def cmd_adapt(args) -> int:
 def cmd_eval(args) -> int:
     if args.adapted and not (args.summary and args.selection):
         raise ZooAdaptError("eval --adapted needs --summary and a selection")
-    _check_outputs(filter(None, (args.out, args.summary)),
-                   filter(None, (args.manifest, args.labels, args.selection)))
     records, target = load_zoo(args.manifest)
     labels = read_labels(args.labels, target.num_classes)
     if len(labels) != target.n:
@@ -148,8 +145,11 @@ def cmd_eval(args) -> int:
     if args.adapted:
         adapted = EnsembleModel(members=read_adapted_heads(selected.members),
                                 weights=selected.weights)
+    _check_outputs(filter(None, (args.out, args.summary)),
+                   filter(None, (args.manifest, args.labels, args.selection)),
+                   records, selected.members if args.adapted else ())
 
-    report = score_zoo(records, SuteConfig.default(target.num_classes))
+    report = score_zoo(records)
     accs = {r.model_id: accuracy(r.probs, labels) for r in report.rows}
     if args.summary:  # every summary error comes before either file opens
         rows = summary(report, accs, labels, selected, adapted)
@@ -160,12 +160,18 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _check_outputs(paths, inputs) -> None:
+def _check_outputs(paths, inputs, records, adapted=()) -> None:
     """Raise before a stage writes anything if an output path is a
-    directory, lies in no directory, or is an input or an earlier output."""
+    directory, lies in no directory, or is an input, an earlier output, a
+    file of the loaded zoo or an adapted head of a record in adapted."""
+    paths = list(map(Path, paths))
+    if any(path.exists() for path in paths):  # only these can be zoo files
+        inputs = [*inputs, *(f for m in records for f in (
+            m.features_path, m.weights_path, m.bias_path)),
+            *(f for m in adapted for f in adapted_paths(m))]
     # realpath, unlike Path.resolve, leaves a symlink loop to the read
     taken = {os.path.realpath(p): f"input {p}" for p in inputs}
-    for path in map(Path, paths):
+    for path in paths:
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, "output is a directory",
                                     str(path))

@@ -20,6 +20,7 @@ from .kernels import softmax_rows
 from .tensorio import ModelRecord, read_tensor, write_csv, write_tensor
 
 ADAPTED_SUFFIX = ".adapted"
+MOMENTUM = 0.9
 
 
 class AdaptError(ZooAdaptError):
@@ -115,7 +116,6 @@ class AdaptConfig:
     tau_recycle: float = 0.95
     epochs: int = 50
     lr: float = 0.01
-    momentum: float = 0.9
 
     def __post_init__(self):
         if not all(0 <= x < math.inf for x in (self.gamma1, self.gamma2)):
@@ -124,8 +124,6 @@ class AdaptConfig:
             raise AdaptError("tau_recycle must be in (0, 1)")
         if self.epochs < 0 or not 0 <= self.lr < math.inf:
             raise AdaptError("epochs must be >= 0 and lr finite and >= 0")
-        if not 0 <= self.momentum < 1:
-            raise AdaptError("momentum must be in [0, 1)")
 
 
 def objective(features: list[np.ndarray], probs: list[np.ndarray],
@@ -198,7 +196,7 @@ def adapt(e: EnsembleModel, outliers: list[ModelRecord],
           cfg: AdaptConfig) -> tuple[EnsembleModel, AdaptHistory]:
     """Adapt the member heads to the target set.
 
-    Full-batch descent with classic momentum (v <- mu v + g;
+    Full-batch descent with classic momentum (v <- MOMENTUM v + g;
     p <- p - lr v). The score-derived member weights stay frozen.
     Deterministic given the config.
     """
@@ -232,8 +230,8 @@ def adapt(e: EnsembleModel, outliers: list[ModelRecord],
                        l_sim + cfg.gamma1 * l_pse + cfg.gamma2 * l_omr)
 
         for j, (g_w, g_b) in enumerate(grads):
-            vel_w[j] = cfg.momentum * vel_w[j] + g_w
-            vel_b[j] = cfg.momentum * vel_b[j] + g_b
+            vel_w[j] = MOMENTUM * vel_w[j] + g_w
+            vel_b[j] = MOMENTUM * vel_b[j] + g_b
             heads_w[j] = heads_w[j] - cfg.lr * vel_w[j]
             heads_b[j] = heads_b[j] - cfg.lr * vel_b[j]
 

@@ -9,7 +9,7 @@ from .diversity import KernelConfig, div_scores
 from .ensemble_adapt import EnsembleModel, build_ensemble, ensemble_weights
 from .errors import ZooAdaptError
 from .sute import ModelScores, SuteConfig, ensemble_components, score_zoo
-from .tensorio import ModelRecord
+from .tensorio import JSON_ERRORS, ModelRecord
 
 
 class SelectionError(ZooAdaptError):
@@ -41,7 +41,7 @@ class SelectionResult:
     def from_json(cls, text: str) -> "SelectionResult":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
+        except JSON_ERRORS as e:
             raise SelectionError(f"selection is not valid JSON ({e})")
         if not isinstance(doc, dict):
             raise SelectionError("selection must be a JSON object")
@@ -150,8 +150,8 @@ def diversity_set(candidates: list[ModelScores], anchors: list[ModelScores],
     return [candidates[i].model_id for i in order[:q]]
 
 
-def select(models: list[ModelRecord], cfg: SuteConfig, q: int = 2,
-           kc: KernelConfig = KernelConfig()) -> SelectionResult:
+def select(models: list[ModelRecord], cfg: SuteConfig = SuteConfig(),
+           q: int = 2, kc: KernelConfig = KernelConfig()) -> SelectionResult:
     """Full selection: greedy transferable set, then diversity set from
     the remaining finite-score models, then the inlier/outlier split."""
     if not models:

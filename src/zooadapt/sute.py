@@ -28,27 +28,19 @@ class SuteError(ZooAdaptError):
 
 @dataclass(frozen=True)
 class SuteConfig:
+    """Score weights, and the dispersity clips as fractions of ln C, so
+    one config serves every class count."""
     lambda1: float = 1.0
     lambda2: float = 1.0
-    tau_h: float = 1.0
+    tau_h: float = 0.9
     tau_l: float = 0.1
 
     def __post_init__(self):
         if not all(0 <= x < math.inf for x in (self.lambda1, self.lambda2)):
             raise SuteError("lambda weights must be finite and >= 0")
-        if not self.tau_l < self.tau_h:
-            raise SuteError(f"need tau_l < tau_h, got {self.tau_l} >= {self.tau_h}")
-
-    @classmethod
-    def default(cls, num_classes: int) -> "SuteConfig":
-        """Clips scale with ln C so the dispersity band adapts to class count."""
-        ln_c = math.log(num_classes)
-        return cls(tau_h=0.9 * ln_c, tau_l=0.1 * ln_c)
-
-    def check_class_count(self, num_classes: int) -> None:
-        if self.tau_h > math.log(num_classes) + 1e-12:
-            raise SuteError(
-                f"tau_h={self.tau_h} exceeds ln C={math.log(num_classes):.6f}")
+        if not 0 <= self.tau_l < self.tau_h <= 1:
+            raise SuteError(f"need 0 <= tau_l < tau_h <= 1, got "
+                            f"tau_l={self.tau_l}, tau_h={self.tau_h}")
 
 
 @dataclass(frozen=True)
@@ -120,28 +112,30 @@ def indicator_gd(p: np.ndarray) -> float:
     return float(entropy_rows(mean[None, :])[0])
 
 
-def phi(gd: float, cfg: SuteConfig) -> float | None:
-    """Piecewise clip of dispersity; None signals rejection below tau_l."""
-    if gd > cfg.tau_h:
-        return cfg.tau_h
-    if gd >= cfg.tau_l:
+def phi(gd: float, num_classes: int, cfg: SuteConfig) -> float | None:
+    """Piecewise clip of dispersity at tau_h ln C; None signals rejection
+    below tau_l ln C."""
+    ln_c = math.log(num_classes)
+    if gd > cfg.tau_h * ln_c:
+        return cfg.tau_h * ln_c
+    if gd >= cfg.tau_l * ln_c:
         return gd
     return None
 
 
-def combine(ic: float, sc: float, gd: float, cfg: SuteConfig) -> SuteComponents:
+def combine(ic: float, sc: float, gd: float, num_classes: int,
+            cfg: SuteConfig) -> SuteComponents:
     ic, sc, gd = float(ic), float(sc), float(gd)
-    clipped = phi(gd, cfg)
+    clipped = phi(gd, num_classes, cfg)
     if clipped is None:
         return SuteComponents(ic=ic, sc=sc, gd=gd, phi_gd=None, sute=None)
     score = float(cfg.lambda1 * ic + cfg.lambda2 * sc + clipped)
     return SuteComponents(ic=ic, sc=sc, gd=gd, phi_gd=float(clipped), sute=score)
 
 
-def sute_score(m: ModelRecord, cfg: SuteConfig) -> ModelScores:
+def sute_score(m: ModelRecord, cfg: SuteConfig = SuteConfig()) -> ModelScores:
     """Score one model and return its target view: forward pass, both
     semantics, then the three indicators."""
-    cfg.check_class_count(m.num_classes)
     p = forward(m)
     stu = structural_semantics(m.features, p)
     comp = _components(p, stu, predictive_semantics(p), m.num_classes, cfg)
@@ -152,7 +146,7 @@ def sute_score(m: ModelRecord, cfg: SuteConfig) -> ModelScores:
 
 def _components(p, stu, pred, num_classes, cfg) -> SuteComponents:
     return combine(indicator_ic(p), indicator_sc(stu, pred, num_classes),
-                   indicator_gd(p), cfg)
+                   indicator_gd(p), num_classes, cfg)
 
 
 def ensemble_components(members: list[ModelScores], weights,
@@ -208,5 +202,6 @@ class TransferabilityReport:
                    for rank, r in enumerate(self.ranked(), 1)))
 
 
-def score_zoo(records: list[ModelRecord], cfg: SuteConfig) -> TransferabilityReport:
+def score_zoo(records: list[ModelRecord],
+              cfg: SuteConfig = SuteConfig()) -> TransferabilityReport:
     return TransferabilityReport(rows=[sute_score(m, cfg) for m in records])

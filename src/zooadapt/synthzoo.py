@@ -21,7 +21,7 @@ import numpy as np
 from .ensemble_adapt import ADAPTED_SUFFIX
 from .errors import ZooAdaptError
 from .kernels import softmax_rows
-from .tensorio import save_manifest, write_tensor
+from .tensorio import JSON_ERRORS, save_manifest, write_tensor
 
 
 class SynthError(ZooAdaptError):
@@ -92,6 +92,9 @@ class ScenarioSpec:
     def from_json(cls, text: str) -> "ScenarioSpec":
         try:
             doc = json.loads(text)
+        except JSON_ERRORS as e:
+            raise SynthError(f"scenario is not valid JSON ({e})")
+        try:
             return cls(
                 num_classes=doc["C"], d0=doc["d0"], num_domains=doc["K"],
                 domain_transforms=[DomainTransform(**t) for t in doc["domains"]],
@@ -102,8 +105,6 @@ class ScenarioSpec:
                 class_scale=doc.get("class_scale", 3.0),
                 class_sigma=doc.get("class_sigma", 1.0),
             )
-        except json.JSONDecodeError as e:
-            raise SynthError(f"scenario is not valid JSON ({e})")
         except (KeyError, TypeError) as e:
             raise SynthError(f"malformed scenario ({type(e).__name__}: {e})")
 
@@ -236,22 +237,20 @@ def map_features(arch: ArchSpec, source: np.ndarray,
 # Head training
 # ---------------------------------------------------------------------------
 
+HEAD_MOMENTUM = 0.9
+HEAD_L2 = 1e-4
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 0.5
     epochs: int = 300
-    momentum: float = 0.9
-    l2: float = 1e-4
 
     def __post_init__(self):
         if self.epochs < 1:
             raise SynthError("epochs must be >= 1")
         if not 0 < self.lr < math.inf:
             raise SynthError("lr must be finite and > 0")
-        if not 0 <= self.momentum < 1:
-            raise SynthError("momentum must be in [0, 1)")
-        if not 0 <= self.l2 < math.inf:
-            raise SynthError("l2 must be finite and >= 0")
 
     @property
     def tag(self) -> str:
@@ -287,13 +286,13 @@ def fit_head(x: np.ndarray, y: np.ndarray, num_classes: int,
             g = softmax_rows(logits)
             flat = g.reshape(-1)
             step = -np.log(flat[at_label].reshape(k, m)).mean(axis=1) \
-                + 0.5 * cfg.l2 * (w * w).sum(axis=(1, 2))
+                + 0.5 * HEAD_L2 * (w * w).sum(axis=(1, 2))
             loss = np.where(np.isfinite(loss), step, loss)
             flat[at_label] -= 1.0  # softmax minus one-hot
-            gw = g.transpose(0, 2, 1) @ x / m + cfg.l2 * w
+            gw = g.transpose(0, 2, 1) @ x / m + HEAD_L2 * w
             gb = g.sum(axis=1) / m
-            vw = cfg.momentum * vw + gw
-            vb = cfg.momentum * vb + gb
+            vw = HEAD_MOMENTUM * vw + gw
+            vb = HEAD_MOMENTUM * vb + gb
             w = w - cfg.lr * vw
             b = b - cfg.lr * vb
     return w, b, loss
@@ -396,7 +395,7 @@ def build_zoo(scenario: ScenarioData, archs: list[ArchSpec],
                     "features": _features_name(k, arch),
                     **_head_names(model_id),
                     "meta": {"lr": repr(cfg.lr), "epochs": str(cfg.epochs),
-                             "momentum": repr(cfg.momentum), "l2": repr(cfg.l2),
+                             "momentum": repr(HEAD_MOMENTUM), "l2": repr(HEAD_L2),
                              "optimizer": "momentum-gd"},
                 })
 

@@ -55,6 +55,9 @@ class ManifestError(ZooAdaptError):
 
 
 ENTRY_KEYS = ("id", "domain", "arch", "features", "weights", "bias")
+# what json.loads raises on a bad document: ValueError (a decode error, or
+# an integer past the digit limit) or RecursionError (nesting too deep)
+JSON_ERRORS = (ValueError, RecursionError)
 
 
 def write_tensor(t: np.ndarray, path) -> None:
@@ -112,9 +115,8 @@ class ModelRecord:
     stored and the head is float64; all arithmetic on them is float64.
     Arrays are treated as immutable after load; loaded features are
     read-only, since records whose entries name one features file share
-    one array. weights_path and
-    bias_path name the head's files when the record was loaded from a
-    manifest.
+    one array. features_path, weights_path and bias_path name its files
+    when the record was loaded from a manifest.
     """
 
     model_id: str
@@ -123,6 +125,7 @@ class ModelRecord:
     features: np.ndarray
     weights: np.ndarray
     bias: np.ndarray
+    features_path: Path | None = None
     weights_path: Path | None = None
     bias_path: Path | None = None
 
@@ -179,7 +182,7 @@ def load_zoo(manifest_path) -> tuple[list[ModelRecord], TargetBundle]:
         doc = json.loads(read_text(manifest_path))
     except FileNotFoundError:
         raise ManifestError(f"manifest not found: {manifest_path}")
-    except json.JSONDecodeError as e:
+    except JSON_ERRORS as e:
         raise ManifestError(f"{manifest_path}: invalid JSON ({e})")
 
     if not isinstance(doc, dict):
@@ -259,6 +262,7 @@ def load_zoo(manifest_path) -> tuple[list[ModelRecord], TargetBundle]:
             features=feats,
             weights=w,
             bias=b,
+            features_path=base / entry["features"],
             weights_path=base / entry["weights"],
             bias_path=base / entry["bias"],
         ))

@@ -50,7 +50,7 @@ def test_criterion_1_sute_ranking_quality(work, capfd):
     labels = read_labels(labels_path, target.num_classes)
     accs = np.array([accuracy(forward(m), labels) for m in records])
 
-    report_rows = score_zoo(records, SuteConfig.default(target.num_classes)).rows
+    report_rows = score_zoo(records).rows
     sute_vals = np.array([-np.inf if r.components.sute is None
                           else r.components.sute for r in report_rows])
     ane_vals = np.array([r.ane for r in report_rows])
@@ -82,7 +82,7 @@ def test_criterion_2_selection_ensemble(work, capfd):
     manifest, labels_path = _build_reference(work, 42)
     records, target = load_zoo(manifest)
     labels = read_labels(labels_path, target.num_classes)
-    cfg = SuteConfig.default(target.num_classes)
+    cfg = SuteConfig()
     sel = select(records, cfg, q=2)
     sel_acc = _selected_ensemble_accuracy(records, sel, labels)
     best = max(accuracy(forward(m), labels) for m in records)
@@ -95,7 +95,7 @@ def test_criterion_2_selection_ensemble(work, capfd):
     plabels = read_labels(pz / "target_labels.txt", ptarget.num_classes)
     paccs = np.array([accuracy(forward(m), plabels) for m in precords])
     near_chance = (paccs <= 1.0 / ptarget.num_classes + 0.05).mean()
-    psel = select(precords, SuteConfig.default(ptarget.num_classes), q=2)
+    psel = select(precords, q=2)
     psel_acc = _selected_ensemble_accuracy(precords, psel, plabels)
     uniform = mix_outputs([forward(m) for m in precords],
                           np.full(len(precords), 1.0 / len(precords)))
@@ -246,7 +246,7 @@ def test_criterion_6_greedy_guarantee(capfd):
                              num_classes=num_classes,
                              spread=float(rng.uniform(0.5, 4.0)))
                   for j in range(int(rng.integers(2, 8)))]
-        cfg = SuteConfig.default(num_classes)
+        cfg = SuteConfig()
         singles = [sute_score(m, cfg).components.sute for m in models]
         finite = [s for s in singles if s is not None]
         if not finite:

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -21,8 +22,10 @@ from hypothesis import strategies as st
 from conftest import MINI_ARCHS, MINI_GRID, mini_scenario
 from zooadapt import cli
 from zooadapt.cli import _build_parser, main
+from zooadapt.diversity import KernelConfig
 from zooadapt.ensemble_adapt import AdaptConfig
 from zooadapt.inference import forward
+from zooadapt.sute import SuteConfig
 from zooadapt.synthzoo import (ArchSpec, DomainTransform, ScenarioSpec,
                                TrainConfig, build_zoo, generate_scenario,
                                reference_scenario)
@@ -482,6 +485,21 @@ def test_cli_flag_set_is_pinned():
             for name, p in sub.choices.items()} == CLI_POSITIONALS
 
 
+# The fields of each configuration a stage runs with. A new field is a
+# knob that lands only with an edit here, which says what sets it.
+CONFIG_FIELDS = {
+    SuteConfig: ["lambda1", "lambda2", "tau_h", "tau_l"],
+    KernelConfig: ["kind"],
+    TrainConfig: ["lr", "epochs"],
+    AdaptConfig: ["gamma1", "gamma2", "tau_recycle", "epochs", "lr"],
+}
+
+
+def test_config_fields_are_pinned():
+    assert {cls: [f.name for f in dataclasses.fields(cls)]
+            for cls in CONFIG_FIELDS} == CONFIG_FIELDS
+
+
 def test_missing_manifest_reports_error(tmp_path, capsys):
     rc = main(["estimate", str(tmp_path / "nope.json"),
                "-o", str(tmp_path / "x.csv")])
@@ -773,11 +791,19 @@ A_DIRECTORY = ["labels_a_directory", "selection_a_directory",
 NO_DIRECTORY = ["estimate_out_no_directory", "select_out_no_directory",
                 "adapt_out_no_directory", "eval_out_no_directory",
                 "summary_no_directory"]
-# an output path that names one of the stage's inputs or another output
+# an output path that names one of the stage's inputs, a file of the
+# zoo or another output
 ALIASED = ["summary_is_out", "estimate_out_is_manifest",
            "select_out_is_manifest", "eval_out_is_selection",
            "eval_out_is_labels", "adapt_out_is_selection",
-           "adapt_out_is_adapted_head"]
+           "adapt_out_is_adapted_head", "estimate_out_is_features",
+           "select_out_is_weights", "adapt_out_is_bias",
+           "eval_out_is_adapted_head"]
+# each reader of a JSON input, and two documents json.loads cannot parse:
+# nesting past the recursion limit, and an integer past the digit limit
+JSON_READERS = {"manifest": "ManifestError", "scenario": "SynthError",
+                "selection": "SelectionError"}
+UNPARSABLE = {"too_deep": "[" * 100_000, "int_too_long": "1" * 5000}
 
 
 @pytest.mark.parametrize("case,error", [
@@ -787,7 +813,9 @@ ALIASED = ["summary_is_out", "estimate_out_is_manifest",
     + [(case, "SynthError") for case in SCENARIO_VALUES]
     + [(case, "ZooAdaptError") for case in NOT_UTF8 + NO_DIRECTORY + ALIASED]
     + [(case, "IsADirectoryError") for case in A_DIRECTORY]
-    + [("manifest_a_symlink_loop", "OSError")])
+    + [("manifest_a_symlink_loop", "OSError")]
+    + [(f"{reader}_{doc}", error) for reader, error in JSON_READERS.items()
+       for doc in UNPARSABLE])
 def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, monkeypatch, case,
                                     error):
     if case in ("adapted_a_directory", "adapt_out_no_directory", *ALIASED):
@@ -810,6 +838,8 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, monkeypatch, case,
     labels.write_text("0\n1\nx\n")
     binary = tmp_path / "binary"
     binary.write_bytes(b"\x80\xff\x00ZTF")
+    unparsable = tmp_path / "unparsable.json"
+    unparsable.write_text(UNPARSABLE.get(case.split("_", 1)[-1], ""))
     a_dir = tmp_path / "a_dir"
     a_dir.mkdir()
     loop = tmp_path / "loop"
@@ -828,12 +858,13 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, monkeypatch, case,
                 *ALIASED):
         assert main(["select", str(zoo), "-o", str(sel), "--q", "1"]) == 0
         capsys.readouterr()
-    if case == "adapted_a_directory":
-        # earlier outputs, then the last inlier's adapted weights path
-        # becomes a directory: adapt must fail before it writes anything
+    if case in ("adapted_a_directory", "eval_out_is_adapted_head"):
         assert main(["adapt", str(zoo), str(sel), "-o",
                      str(tmp_path / "h0.csv")]) == 0
         capsys.readouterr()
+    if case == "adapted_a_directory":
+        # earlier outputs, then the last inlier's adapted weights path
+        # becomes a directory: adapt must fail before it writes anything
         last = json.loads(sel.read_text())["inliers"][-1]
         blocked = zoo.parent / f"{last}.weights.ztf.adapted"
         blocked.unlink()
@@ -841,6 +872,9 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, monkeypatch, case,
     adapted = _adapted_digests(zoo)
     inputs = {p: p.read_bytes() for p in (zoo, sel, Path(good_labels))
               if p.is_file()}
+    zoo_files = {p: hashlib.sha256(p.read_bytes()).digest()
+                 for p in zoo.parent.iterdir() if p.is_file()}
+    entry = json.loads(zoo.read_text())["models"][0]
     head = None  # the first inlier's adapted weights path
     if sel.is_file():
         first = json.loads(sel.read_text())["inliers"][0]
@@ -890,6 +924,23 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, monkeypatch, case,
                                    "-o", str(sel)],
         "adapt_out_is_adapted_head": ["adapt", str(zoo), str(sel),
                                       "-o", str(head)],
+        "estimate_out_is_features": ["estimate", str(zoo), "-o",
+                                     str(zoo.parent / entry["features"])],
+        "select_out_is_weights": ["select", str(zoo), "-o",
+                                  str(zoo.parent / entry["weights"])],
+        "adapt_out_is_bias": ["adapt", str(zoo), str(sel), "-o",
+                              str(zoo.parent / entry["bias"])],
+        "eval_out_is_adapted_head": ["eval", str(zoo), good_labels, str(sel),
+                                     "-o", str(head), "--summary",
+                                     str(tmp_path / "eval.csv"), "--adapted"],
+        **{f"manifest_{doc}": ["estimate", str(unparsable), "-o",
+                               str(tmp_path / "est.csv")]
+           for doc in UNPARSABLE},
+        **{f"scenario_{doc}": ["build", str(unparsable),
+                               str(tmp_path / "zoo")] for doc in UNPARSABLE},
+        **{f"selection_{doc}": ["adapt", str(zoo), str(unparsable), "-o",
+                                str(tmp_path / "h.csv")]
+           for doc in UNPARSABLE},
     }.get(case, build)
     line = _single_error_line(capsys, main(argv))
     assert error in line
@@ -903,9 +954,13 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, monkeypatch, case,
         assert f"output {no_dir / 'out'}: no directory {no_dir}" in line
     if case in ALIASED:
         assert "same file as" in line
+    if case.endswith(tuple(UNPARSABLE)):
+        assert "valid JSON" in line  # "invalid JSON" or "not valid JSON"
     if case == "adapt_out_is_adapted_head":
         assert not head.exists()
     assert {p: p.read_bytes() for p in inputs} == inputs
+    assert {p: hashlib.sha256(p.read_bytes()).digest()
+            for p in zoo_files} == zoo_files
     assert not no_dir.exists()
     assert not (tmp_path / "zoo").exists()
     assert not (tmp_path / "est.csv").exists()

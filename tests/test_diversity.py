@@ -5,7 +5,7 @@ from conftest import hsic_p
 from zooadapt import diversity
 from zooadapt.diversity import DiversityError, KernelConfig, div_scores
 from zooadapt.selection import select
-from zooadapt.sute import SuteConfig, score_zoo
+from zooadapt.sute import score_zoo
 from zooadapt.tensorio import load_zoo
 
 
@@ -138,10 +138,9 @@ def oracle_div_scores(candidates, anchors, kc):
 def reference_views(reference42_manifest):
     """The candidates and anchors of select's diversity pass on the
     reference zoo at seed 42, built as the CLI builds it."""
-    records, target = load_zoo(reference42_manifest)
-    cfg = SuteConfig.default(target.num_classes)
-    anchor_ids = set(select(records, cfg, q=0).transferable_set)
-    views = score_zoo(records, cfg).rows
+    records, _ = load_zoo(reference42_manifest)
+    anchor_ids = set(select(records, q=0).transferable_set)
+    views = score_zoo(records).rows
     anchors = [v.probs for v in views if v.model_id in anchor_ids]
     candidates = [v.probs for v in views if v.model_id not in anchor_ids
                   and not v.components.rejected]

@@ -9,15 +9,16 @@ import pytest
 from conftest import make_model, objective_term
 from zooadapt import ensemble_adapt
 from zooadapt.cli import main
-from zooadapt.ensemble_adapt import (AdaptConfig, AdaptError, AdaptHistory,
-                                     EnsembleModel, RecyclePair, adapt,
+from zooadapt.ensemble_adapt import (MOMENTUM, AdaptConfig, AdaptError,
+                                     AdaptHistory, EnsembleModel,
+                                     RecyclePair, adapt,
                                      build_ensemble, ensemble_forward,
                                      ensemble_weights, mine_recycle_pairs,
                                      objective)
 from zooadapt.inference import forward, mix_outputs, predictive_semantics
 from zooadapt.kernels import softmax_rows
 from zooadapt.selection import SelectionResult, select
-from zooadapt.sute import SuteConfig, indicator_gd, indicator_ic
+from zooadapt.sute import indicator_gd, indicator_ic
 from zooadapt.tensorio import load_zoo
 
 
@@ -439,11 +440,12 @@ def test_analytic_gradients_match_finite_differences(term):
 
 
 def test_fused_adapt_gradient_equals_term_sum():
-    # one epoch, zero momentum: recovered gradient = (old - new) / lr
+    # one epoch from zero velocity steps by lr times the gradient:
+    # recovered gradient = (old - new) / lr
     a = make_model("a", seed=8)
     b = make_model("b", seed=9)
     e = build_ensemble([a, b], [0.2, 0.5])
-    cfg = AdaptConfig(gamma1=0.37, gamma2=0.21, epochs=1, lr=1e-3, momentum=0.0)
+    cfg = AdaptConfig(gamma1=0.37, gamma2=0.21, epochs=1, lr=1e-3)
     outlier = make_model("o", seed=10)
     adapted, _ = adapt(e, [outlier], cfg)
 
@@ -499,8 +501,7 @@ def test_adapt_matches_fd_descent_oracle():
     b = make_model("b", seed=16, n=8)
     e = build_ensemble([a, b], [0.3, 0.1])
     outlier = _confidence_model("o", [(2, 1, 30.0)], n=8)
-    cfg = AdaptConfig(epochs=3, lr=0.05, momentum=0.9, gamma1=0.3,
-                      gamma2=0.3)
+    cfg = AdaptConfig(epochs=3, lr=0.05, gamma1=0.3, gamma2=0.3)
     _, lib_history = adapt(e, [outlier], cfg)
 
     feats = [m.features for m in e.members]
@@ -548,8 +549,8 @@ def test_adapt_matches_fd_descent_oracle():
                 bp[j][k] += h
                 bm[j][k] -= h
                 gb[k] = (l_all(ws, bp) - l_all(ws, bm)) / (2 * h)
-            vw = cfg.momentum * vel[j][0] + gw
-            vb = cfg.momentum * vel[j][1] + gb
+            vw = MOMENTUM * vel[j][0] + gw
+            vb = MOMENTUM * vel[j][1] + gb
             new_vel.append((vw, vb))
             new_ws[j] = ws[j] - cfg.lr * vw
             new_bs[j] = bs[j] - cfg.lr * vb
@@ -598,8 +599,8 @@ def adapt_mining_every_epoch(e, outliers, cfg):
                        l_sim + cfg.gamma1 * l_pse + cfg.gamma2 * l_omr)
 
         for j, (g_w, g_b) in enumerate(grads):
-            vel_w[j] = cfg.momentum * vel_w[j] + g_w
-            vel_b[j] = cfg.momentum * vel_b[j] + g_b
+            vel_w[j] = MOMENTUM * vel_w[j] + g_w
+            vel_b[j] = MOMENTUM * vel_b[j] + g_b
             heads_w[j] = heads_w[j] - cfg.lr * vel_w[j]
             heads_b[j] = heads_b[j] - cfg.lr * vel_b[j]
     return heads_w, heads_b, history
@@ -706,8 +707,8 @@ def test_nonfinite_loss_aborts_with_term_name():
 @pytest.fixture(scope="module")
 def reference42(reference42_manifest):
     """The reference zoo at seed 42 and its default selection."""
-    records, target = load_zoo(reference42_manifest)
-    return records, select(records, SuteConfig.default(target.num_classes))
+    records, _ = load_zoo(reference42_manifest)
+    return records, select(records)
 
 
 @pytest.mark.parametrize("scale", [10.0, 20.0, 200.0])

@@ -48,13 +48,14 @@ def oracle_ensemble_sute(models, weights, cfg):
         if row.sum():
             sc -= row.sum() / n * ent(row / row.sum())
     gd = ent(mix.mean(axis=0))
-    if gd < cfg.tau_l:
+    ln_c = math.log(num_classes)
+    if gd < cfg.tau_l * ln_c:
         return None
-    return cfg.lambda1 * ic + cfg.lambda2 * sc + min(gd, cfg.tau_h)
+    return cfg.lambda1 * ic + cfg.lambda2 * sc + min(gd, cfg.tau_h * ln_c)
 
 
 def views(models):
-    return score_zoo(models, SuteConfig.default(3)).rows
+    return score_zoo(models).rows
 
 
 def softmax(v):
@@ -66,7 +67,7 @@ def softmax(v):
 
 def test_single_model_zoo():
     m = make_model("only", seed=1)
-    cfg = SuteConfig.default(3)
+    cfg = SuteConfig()
     result = select([m], cfg, q=0)
     ids, audit = result.transferable_set, result.audit
     assert ids == ["only"]
@@ -76,7 +77,7 @@ def test_single_model_zoo():
 def test_duplicate_of_top_model_rejected_by_strictness():
     m = make_model("a", seed=2)
     dup = make_model("b", features=m.features, weights=m.weights, bias=m.bias)
-    cfg = SuteConfig.default(3)
+    cfg = SuteConfig()
     result = select([m, dup], cfg, q=0)
     ids, audit = result.transferable_set, result.audit
     assert len(ids) == 1
@@ -90,7 +91,7 @@ def test_duplicate_of_top_model_rejected_by_strictness():
 
 def test_three_model_greedy_matches_exhaustive_oracle():
     models = [make_model(f"m{i}", seed=60 + i, n=18) for i in range(3)]
-    cfg = SuteConfig.default(3)
+    cfg = SuteConfig()
     singles = {m.model_id: sute_score(m, cfg).components.sute for m in models}
     assert all(v is not None for v in singles.values())
 
@@ -121,20 +122,20 @@ def test_three_model_greedy_matches_exhaustive_oracle():
 
 def test_all_rejected_raises():
     models = [collapsed_model(f"c{i}", seed=70 + i) for i in range(2)]
-    cfg = SuteConfig.default(3)
+    cfg = SuteConfig()
     with pytest.raises(SelectionError, match="no transferable model"):
         select(models, cfg, q=0)
 
 
 def test_empty_zoo_raises():
     with pytest.raises(SelectionError, match="zoo has no models"):
-        select([], SuteConfig.default(3), q=0)
+        select([], q=0)
 
 
 def test_sentinel_models_are_skipped_not_counted():
     good = [make_model(f"g{i}", seed=80 + i) for i in range(2)]
     bad = collapsed_model("zbad", seed=85)
-    cfg = SuteConfig.default(3)
+    cfg = SuteConfig()
     result = select(good + [bad], cfg, q=0)
     ids, audit = result.transferable_set, result.audit
     assert "zbad" not in ids
@@ -170,7 +171,7 @@ def test_diversity_matches_div_scores_oracle():
 
 def test_select_single_finite_model_q0():
     models = [make_model("good", seed=130), collapsed_model("bad", seed=131)]
-    cfg = SuteConfig.default(3)
+    cfg = SuteConfig()
     result = select(models, cfg, q=0)
     assert result.transferable_set == ["good"]
     assert result.diversity_set == []
@@ -181,7 +182,7 @@ def test_select_single_finite_model_q0():
 def test_select_sole_finite_model_is_sole_inlier():
     models = [collapsed_model(f"b{i}", seed=140 + i) for i in range(3)]
     models.append(make_model("alive", seed=145))
-    cfg = SuteConfig.default(3)
+    cfg = SuteConfig()
     result = select(models, cfg, q=2)
     assert result.inliers == ["alive"]
     assert sorted(result.outliers) == ["b0", "b1", "b2"]
@@ -189,7 +190,7 @@ def test_select_sole_finite_model_is_sole_inlier():
 
 def test_select_partition_is_exact_and_disjoint():
     models = [make_model(f"m{i}", seed=150 + i, n=20) for i in range(6)]
-    cfg = SuteConfig.default(3)
+    cfg = SuteConfig()
     result = select(models, cfg, q=2)
     assert set(result.inliers) == set(result.transferable_set) | set(
         result.diversity_set)
@@ -201,7 +202,7 @@ def test_select_partition_is_exact_and_disjoint():
 
 def test_select_deterministic_replay():
     models = [make_model(f"m{i}", seed=160 + i, n=20) for i in range(5)]
-    cfg = SuteConfig.default(3)
+    cfg = SuteConfig()
     r1 = select(models, cfg, q=2)
     r2 = select(models, cfg, q=2)
     assert r1.to_json() == r2.to_json()
@@ -209,7 +210,7 @@ def test_select_deterministic_replay():
 
 def test_monotone_audit():
     models = [make_model(f"m{i}", seed=170 + i, n=24) for i in range(6)]
-    cfg = SuteConfig.default(3)
+    cfg = SuteConfig()
     result = select(models, cfg, q=1)
     for step in result.audit["steps"]:
         if step["action"] == "accepted":
@@ -218,7 +219,7 @@ def test_monotone_audit():
 
 def test_selection_result_json_round_trip(tmp_path):
     models = [make_model(f"m{i}", seed=180 + i) for i in range(3)]
-    cfg = SuteConfig.default(3)
+    cfg = SuteConfig()
     result = select(models, cfg, q=1)
     path = tmp_path / "sel.json"
     result.write_json(path)
@@ -240,9 +241,9 @@ def _golden_zoo(tmp_path):
 
 def test_golden_eight_model_zoo_partition(tmp_path):
     manifest = _golden_zoo(tmp_path)
-    records, target = load_zoo(manifest)
+    records, _ = load_zoo(manifest)
     assert len(records) == 8
-    cfg = SuteConfig.default(target.num_classes)
+    cfg = SuteConfig()
     result = select(records, cfg, q=2)
     # frozen from the first verified run; replayed against the oracles below
     assert result.transferable_set == ["dom0-identity-lr0.5ep80"]
@@ -287,7 +288,7 @@ def test_greedy_guarantee_on_random_zoos():
                              n=20, d=int(rng.integers(3, 6)),
                              num_classes=num_classes)
                   for j in range(int(rng.integers(2, 6)))]
-        cfg = SuteConfig.default(num_classes)
+        cfg = SuteConfig()
         singles = [sute_score(m, cfg).components.sute for m in models]
         finite = [s for s in singles if s is not None]
         if not finite:

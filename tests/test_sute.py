@@ -158,51 +158,54 @@ def test_indicator_gd_mixed_matches_oracle():
 
 # --- phi (clip) ----------------------------------------------------------------
 
-@pytest.mark.parametrize("gd,expected", [(1.5, 1.0), (0.5, 0.5), (0.1, None)])
-def test_phi_branches(gd, expected):
-    cfg = SuteConfig(tau_h=1.0, tau_l=0.2)
-    assert phi(gd, cfg) == expected
-
-
-def test_phi_boundaries_inclusive():
-    cfg = SuteConfig(tau_h=1.0, tau_l=0.2)
-    assert phi(1.0, cfg) == 1.0
-    assert phi(0.2, cfg) == 0.2
+# the zoos and probes (2, 3, 5, 10, 65) and the paper's largest benchmark
+@pytest.mark.parametrize("num_classes", [2, 3, 5, 10, 65, 345])
+def test_phi_clips_at_fractions_of_log_c(num_classes):
+    cfg = SuteConfig()
+    high = 0.9 * math.log(num_classes)
+    low = 0.1 * math.log(num_classes)
+    assert phi(2 * high, num_classes, cfg) == high
+    assert phi(high, num_classes, cfg) == high
+    assert phi(0.5 * high, num_classes, cfg) == 0.5 * high
+    assert phi(low, num_classes, cfg) == low  # the lower bound is inclusive
+    assert phi(math.nextafter(low, 0), num_classes, cfg) is None
 
 
 def test_config_validation():
     with pytest.raises(SuteError):
         SuteConfig(tau_h=0.2, tau_l=0.5)
     with pytest.raises(SuteError):
+        SuteConfig(tau_h=0.5, tau_l=0.5)
+    with pytest.raises(SuteError):
+        SuteConfig(tau_h=1.1)
+    with pytest.raises(SuteError):
+        SuteConfig(tau_l=-0.1)
+    with pytest.raises(SuteError):
+        SuteConfig(tau_h=math.nan)
+    with pytest.raises(SuteError):
         SuteConfig(lambda1=-1.0)
     with pytest.raises(SuteError):
         SuteConfig(lambda1=math.nan)
-    cfg = SuteConfig.default(4)
-    assert cfg.tau_h == pytest.approx(0.9 * math.log(4))
-    assert cfg.tau_l == pytest.approx(0.1 * math.log(4))
-    with pytest.raises(SuteError):
-        SuteConfig(tau_h=2.0, tau_l=0.1).check_class_count(4)  # ln 4 < 2
+    SuteConfig(tau_h=1.0, tau_l=0.0)  # both ends of the range are allowed
 
 
 # --- score composition ----------------------------------------------------------
 
 def test_combine_linear_composition():
-    cfg = SuteConfig(tau_h=1.0, tau_l=0.2)
-    comp = combine(ic=-0.3, sc=-0.2, gd=0.8, cfg=cfg)
+    comp = combine(ic=-0.3, sc=-0.2, gd=0.8, num_classes=3, cfg=SuteConfig())
     assert comp.sute == pytest.approx(0.3, abs=1e-12)
     assert comp.phi_gd == pytest.approx(0.8)
 
 
 def test_combine_rejection_dominates():
-    cfg = SuteConfig(tau_h=1.0, tau_l=0.2)
-    comp = combine(ic=5.0, sc=5.0, gd=0.05, cfg=cfg)
+    comp = combine(ic=5.0, sc=5.0, gd=0.05, num_classes=3, cfg=SuteConfig())
     assert comp.rejected
     assert comp.sute is None and comp.phi_gd is None
 
 
 def test_sute_score_equals_composed_oracle():
     m = make_model(seed=4, n=6, d=3, num_classes=3)
-    cfg = SuteConfig.default(3)
+    cfg = SuteConfig()
     comp = sute_score(m, cfg).components
     p = forward(m)
     pred = predictive_semantics(p)
@@ -214,7 +217,8 @@ def test_sute_score_equals_composed_oracle():
     assert comp.sc == pytest.approx(sc, abs=1e-12)
     assert comp.gd == pytest.approx(gd, abs=1e-12)
     if comp.sute is not None:
-        expected = cfg.lambda1 * ic + cfg.lambda2 * sc + min(gd, cfg.tau_h)
+        expected = (cfg.lambda1 * ic + cfg.lambda2 * sc
+                    + min(gd, cfg.tau_h * math.log(3)))
         assert comp.sute == pytest.approx(expected, abs=1e-12)
 
 
@@ -222,7 +226,7 @@ def test_sute_score_equals_composed_oracle():
 
 def test_ensemble_single_member_equals_individual():
     m = make_model(seed=8)
-    cfg = SuteConfig.default(3)
+    cfg = SuteConfig()
     single = sute_score(m, cfg)
     ens = ensemble_components([single], [1.0], cfg)
     assert ens == single.components
@@ -230,7 +234,7 @@ def test_ensemble_single_member_equals_individual():
 
 def test_ensemble_of_identical_members_equals_single():
     m = make_model(seed=9)
-    cfg = SuteConfig.default(3)
+    cfg = SuteConfig()
     single = sute_score(m, cfg)
     ens = ensemble_components([single, single], [0.5, 0.5], cfg)
     assert ens.sute == pytest.approx(single.components.sute, abs=1e-12)
@@ -239,7 +243,7 @@ def test_ensemble_of_identical_members_equals_single():
 def test_ensemble_matches_explicit_mixture_oracle():
     a = make_model("a", seed=10)
     b = make_model("b", seed=11)
-    cfg = SuteConfig.default(3)
+    cfg = SuteConfig()
     w = np.array([0.3, 0.7])
     got = ensemble_components([sute_score(a, cfg), sute_score(b, cfg)], w, cfg)
 
@@ -271,7 +275,7 @@ def test_weighted_vote_tie_breaks_low_index():
 def test_ensemble_one_hot_weights_recover_member():
     a = make_model("a", seed=14)
     b = make_model("b", seed=15)
-    cfg = SuteConfig.default(3)
+    cfg = SuteConfig()
     view_a = sute_score(a, cfg)
     got = ensemble_components([view_a, sute_score(b, cfg)], [1.0, 0.0], cfg)
     assert got == view_a.components
@@ -296,7 +300,7 @@ def test_baselines_uniform():
 
 def test_permutation_invariance_exact():
     m = make_model(seed=17, n=20)
-    cfg = SuteConfig.default(3)
+    cfg = SuteConfig()
     base = sute_score(m, cfg).components
     rng = np.random.default_rng(0)
     perm = rng.permutation(20)
@@ -310,18 +314,21 @@ def test_permutation_invariance_exact():
 
 
 def test_finite_iff_gd_above_threshold():
-    cfg = SuteConfig(tau_h=1.0, tau_l=0.3)
-    for gd in (0.0, 0.29, 0.3, 0.31, 1.0, 2.0):
-        comp = combine(0.0, 0.0, gd, cfg)
-        assert comp.rejected == (gd < cfg.tau_l)
+    cfg = SuteConfig(tau_l=0.3)
+    low = 0.3 * math.log(3)
+    for gd in (0.0, math.nextafter(low, 0), low, math.nextafter(low, 1),
+               1.0, 2.0):
+        comp = combine(0.0, 0.0, gd, 3, cfg)
+        assert comp.rejected == (gd < low)
 
 
 def test_sute_monotone_in_gd_within_band():
-    cfg = SuteConfig(tau_h=1.0, tau_l=0.2)
-    values = [combine(-0.4, -0.1, gd, cfg).sute
-              for gd in np.linspace(0.2, 1.0, 9)]
+    cfg = SuteConfig()
+    ln_c = math.log(3)
+    values = [combine(-0.4, -0.1, gd, 3, cfg).sute
+              for gd in np.linspace(0.1 * ln_c, 0.9 * ln_c, 9)]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
-    assert combine(0, 0, 5.0, cfg).phi_gd <= cfg.tau_h
+    assert combine(0, 0, 5.0, 3, cfg).phi_gd <= 0.9 * ln_c
 
 
 # --- report CSV ----------------------------------------------------------------------
@@ -331,7 +338,7 @@ def test_report_csv_sentinel_and_rank(tmp_path):
     # force one rejection by collapsing predictions: huge bias on class 0
     collapsed = make_model("zz-collapsed", seed=40, n=15)
     collapsed.bias[:] = np.array([50.0, 0.0, 0.0])
-    cfg = SuteConfig.default(3)
+    cfg = SuteConfig()
     report = score_zoo(models + [collapsed], cfg)
     out = tmp_path / "report.csv"
     report.write_csv(out)

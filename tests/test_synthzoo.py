@@ -13,8 +13,9 @@ from zooadapt.evaluate import (accuracy, read_labels, spearman,
                                student_t_two_sided)
 from zooadapt.inference import forward
 from zooadapt.kernels import softmax_rows
-from zooadapt.synthzoo import (REFERENCE_GRID, ArchSpec, DomainTransform,
-                               ScenarioSpec, SynthError, TrainConfig,
+from zooadapt.synthzoo import (HEAD_L2, HEAD_MOMENTUM, REFERENCE_GRID,
+                               ArchSpec, DomainTransform, ScenarioSpec,
+                               SynthError, TrainConfig,
                                apply_transform, build_zoo, fit_head,
                                generate_scenario, map_features,
                                reference_archs, reference_scenario,
@@ -119,10 +120,8 @@ def test_feature_map_shapes_and_standardization():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"epochs": -3}, {"lr": math.nan}, {"lr": -1.0}, {"momentum": 1.5},
-    {"l2": math.inf}],
-    ids=["epochs_negative", "lr_nan", "lr_negative", "momentum_above_one",
-         "l2_inf"])
+    {"epochs": -3}, {"lr": math.nan}, {"lr": -1.0}],
+    ids=["epochs_negative", "lr_nan", "lr_negative"])
 def test_train_config_validation(kwargs):
     # each value would train nothing
     with pytest.raises(SynthError):
@@ -157,14 +156,14 @@ def fit_one_head(x, y, num_classes, cfg):
         e = np.exp(z - z.max(axis=1, keepdims=True))
         p = e / e.sum(axis=1, keepdims=True)
         loss = float(-np.log(p[np.arange(m), y]).mean()) \
-            + 0.5 * cfg.l2 * float((w * w).sum())
+            + 0.5 * HEAD_L2 * float((w * w).sum())
         if not np.isfinite(loss):
             raise SynthError("head fit diverged: non-finite loss")
         g = p - onehot
-        gw = g.T @ x / m + cfg.l2 * w
+        gw = g.T @ x / m + HEAD_L2 * w
         gb = g.sum(axis=0) / m
-        vw = cfg.momentum * vw + gw
-        vb = cfg.momentum * vb + gb
+        vw = HEAD_MOMENTUM * vw + gw
+        vb = HEAD_MOMENTUM * vb + gb
         w = w - cfg.lr * vw
         b = b - cfg.lr * vb
     return w, b, loss
@@ -229,12 +228,12 @@ def test_build_zoo_single_cell(tmp_path):
     assert target.n == 30
 
 
-# two archs, or two train configs, whose tags and so model ids coincide
+# two archs whose tags and so model ids coincide, or a grid that lists
+# one train config twice
 PROJ3 = ArchSpec(kind="proj", dim=3)
 COLLIDING_CELLS = {
     "ids_collide_archs": ([PROJ3, replace(PROJ3, seed=1)], [TrainConfig()]),
-    "ids_collide_grid": ([PROJ3], [TrainConfig(momentum=0.9),
-                                   TrainConfig(momentum=0.5)]),
+    "ids_collide_grid": ([PROJ3], [TrainConfig(), TrainConfig()]),
 }
 
 

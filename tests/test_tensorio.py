@@ -13,7 +13,7 @@ import pytest
 
 from conftest import MINI_ARCHS, MINI_GRID, mini_scenario
 from zooadapt import tensorio
-from zooadapt.sute import SuteConfig, score_zoo, sute_score
+from zooadapt.sute import score_zoo, sute_score
 from zooadapt.synthzoo import TrainConfig, build_zoo, generate_scenario
 from zooadapt.tensorio import (BadMagicError, DimOverflowError, ManifestError,
                                NonFiniteValueError, PayloadLengthError,
@@ -164,12 +164,10 @@ def test_load_zoo_two_models(tmp_path):
 
 
 def test_float32_features_score_like_float64(mini_zoo):
-    records, target = load_zoo(mini_zoo)
-    cfg = SuteConfig.default(target.num_classes)
+    records, _ = load_zoo(mini_zoo)
     for m in records:
-        got = sute_score(m, cfg)
-        want = sute_score(replace(m, features=m.features.astype(np.float64)),
-                          cfg)
+        got = sute_score(m)
+        want = sute_score(replace(m, features=m.features.astype(np.float64)))
         assert got.components == want.components
         assert np.array_equal(got.probs, want.probs)
         assert np.array_equal(got.structural, want.structural)
@@ -280,11 +278,10 @@ def test_one_features_file_per_entry_loads_and_scores_the_same(shared_zoo,
             entry[key] = name
     old = tmp_path / "manifest.json"
     old.write_text(json.dumps(doc, indent=2) + "\n")
-    shared, target = load_zoo(shared_zoo)
+    shared, _ = load_zoo(shared_zoo)
     copies, _ = load_zoo(old)
     assert len({id(m.features) for m in copies}) == len(copies)
-    cfg = SuteConfig.default(target.num_classes)
-    for a, b in zip(score_zoo(shared, cfg).rows, score_zoo(copies, cfg).rows):
+    for a, b in zip(score_zoo(shared).rows, score_zoo(copies).rows):
         assert a == b  # ids and score components
         assert np.array_equal(a.probs, b.probs)
         assert np.array_equal(a.structural, b.structural)

@@ -2,7 +2,7 @@
 adaptation for heterogeneous model zoos on an unlabeled target set."""
 
 from .diversity import KernelConfig, centered_factor, div_scores, hsic
-from .ensemble_adapt import (AdaptConfig, EnsembleModel, RecyclePair, adapt,
+from .ensemble_adapt import (AdaptConfig, EnsembleModel, adapt,
                              build_ensemble, ensemble_forward,
                              ensemble_weights, mine_recycle_pairs, objective)
 from .errors import ZooAdaptError

@@ -63,31 +63,20 @@ def ensemble_forward(e: EnsembleModel) -> np.ndarray:
     return mix_outputs([forward(m) for m in e.members], e.weights)
 
 
-@dataclass(frozen=True)
-class RecyclePair:
-    sample_index: int
-    label: int
-    model_id: str
-    confidence: float
-
-
-def mine_recycle_pairs(model_ids: list[str], probs: list[np.ndarray],
-                       tau: float) -> list[RecyclePair]:
+def mine_recycle_pairs(probs: list[np.ndarray], tau: float) -> np.ndarray:
     """Per sample, the single most confident outlier prediction, kept
-    only when its confidence exceeds tau. probs[j] holds the n x C
-    target probabilities of model_ids[j]; they must be finite (a NaN
-    would win its row's argmax and hide that model's other classes).
+    only when its confidence exceeds tau: a K x 2 intp array of (sample
+    index, label) rows in sample order, (0, 2) when nothing is kept.
+    probs[j] holds outlier j's n x C target probabilities; they must be
+    finite (a NaN would win its row's argmax and hide its other classes).
 
-    Ties on confidence go to the lowest model_id; ties on the class go
-    to the lowest index. The outliers are scanned in sorted-id order,
-    and each replaces a row's running best only where it is strictly
-    more confident, so an earlier id wins ties.
+    One running maximum per sample over probs in the given order: each
+    matrix replaces a row's best only where it is strictly more
+    confident, so an earlier matrix wins a tie on confidence, and the
+    lowest class wins a tie within a row.
     """
-    if len(probs) != len(model_ids):
-        raise AdaptError(f"{len(model_ids)} outlier ids but {len(probs)} "
-                         "probability matrices")
-    if not model_ids:
-        return []
+    if not probs:
+        return np.empty((0, 2), dtype=np.intp)
     shape = probs[0].shape
     if len(shape) != 2 or any(p.shape != shape for p in probs):
         raise AdaptError("outlier probabilities must be n x C matrices "
@@ -95,18 +84,14 @@ def mine_recycle_pairs(model_ids: list[str], probs: list[np.ndarray],
     rows = np.arange(shape[0])
     best_conf = np.full(shape[0], -1.0)
     best_label = np.zeros(shape[0], dtype=np.intp)
-    best_model = np.zeros(shape[0], dtype=np.intp)
-    for j in sorted(range(len(model_ids)), key=model_ids.__getitem__):
-        labels = probs[j].argmax(axis=1)
-        confs = probs[j][rows, labels]
+    for p in probs:
+        labels = p.argmax(axis=1)
+        confs = p[rows, labels]
         better = confs > best_conf
         best_conf[better] = confs[better]
         best_label[better] = labels[better]
-        best_model[better] = j
     keep = np.flatnonzero(best_conf > tau)
-    return list(map(RecyclePair, keep.tolist(), best_label[keep].tolist(),
-                    map(model_ids.__getitem__, best_model[keep].tolist()),
-                    best_conf[keep].tolist()))
+    return np.column_stack((keep, best_label[keep]))
 
 
 @dataclass
@@ -128,11 +113,12 @@ class AdaptConfig:
 
 def objective(features: list[np.ndarray], probs: list[np.ndarray],
               mixture: np.ndarray, theta: np.ndarray, labels: np.ndarray,
-              pairs: list[RecyclePair], cfg: AdaptConfig):
+              pairs: np.ndarray, cfg: AdaptConfig):
     """The adaptation loss L_all and its analytic head gradients.
 
     probs[j] is member j's softmax output on features[j], mixture their
-    theta-weighted sum; pseudo-labels and recycled pairs are constants.
+    theta-weighted sum; pseudo-labels and the K x 2 recycled (sample,
+    label) pairs are constants.
     Returns ((l_sim, l_pse, l_omr), [(gW, gb), ...]): the three loss
     terms and each member's head gradient of L_all.
 
@@ -151,8 +137,7 @@ def objective(features: list[np.ndarray], probs: list[np.ndarray],
     infinite; the per-epoch guard of adapt reports it.
     """
     rows = np.arange(mixture.shape[0])
-    pair_idx = np.array([p.sample_index for p in pairs], dtype=int)
-    pair_lab = np.array([p.label for p in pairs], dtype=int)
+    pair_idx, pair_lab = pairs.T
     ce_terms = []
     d_mix = np.zeros_like(mixture)
     for idx, lab, gamma in ((rows, labels, cfg.gamma1),
@@ -207,9 +192,10 @@ def adapt(e: EnsembleModel, outliers: list[ModelRecord],
     vel_b = [np.zeros_like(b) for b in heads_b]
     history = AdaptHistory()
     # the outlier heads stay frozen and tau is fixed: one mining serves
-    # every epoch, and no outlier probabilities outlive it
-    pairs = mine_recycle_pairs([m.model_id for m in outliers],
-                               [forward(m) for m in outliers], cfg.tau_recycle)
+    # every epoch, and no outlier probabilities outlive it; in id order,
+    # ties on confidence go to the lowest model id
+    pairs = mine_recycle_pairs([forward(m) for m in sorted(
+        outliers, key=lambda m: m.model_id)], cfg.tau_recycle)
 
     for epoch in range(cfg.epochs):
         # as in inference.forward: overflowing logits give non-finite

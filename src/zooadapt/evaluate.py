@@ -3,6 +3,7 @@ rank correlation and `eval`'s two reports. Scoring, selection and
 adaptation never import this module. Label errors raise SynthError."""
 
 import math
+import re
 import sys
 from typing import NamedTuple
 
@@ -16,12 +17,12 @@ from .tensorio import read_text, write_csv
 
 
 def read_labels(path, num_classes: int) -> np.ndarray:
-    """The integers of a whitespace-separated file, each in [0, C)."""
+    """The integers of a whitespace-separated file, each in [0, C).
+    A label is ASCII digits with an optional leading minus."""
     tokens = read_text(path).split()
-    try:
-        labels = np.array([int(tok) for tok in tokens])
-    except ValueError as e:
-        raise SynthError(f"{path}: labels must be integers ({e})")
+    if not all(re.fullmatch("-?[0-9]+", tok) for tok in tokens):
+        raise SynthError(f"{path}: labels must be integers")
+    labels = np.array([int(tok) for tok in tokens])
     if np.any((labels < 0) | (labels >= num_classes)):
         raise SynthError(f"{path}: labels must be in [0, {num_classes})")
     return labels

@@ -12,7 +12,6 @@ import pytest
 
 from conftest import hsic_p, make_model, objective_term
 from zooadapt.cli import main as cli_main
-from zooadapt.ensemble_adapt import RecyclePair
 from zooadapt.inference import forward, mix_outputs, predictive_semantics
 from zooadapt.kernels import softmax_rows
 from zooadapt.selection import select
@@ -171,8 +170,8 @@ def _gradient_check_instances():
         probs = [softmax_rows(f @ w.T + b) for f, w, b in zip(feats, ws, bs)]
         labels = predictive_semantics(mix_outputs(probs, theta))
         k = int(rng.integers(1, n))
-        pairs = [RecyclePair(int(i), int(rng.integers(num_classes)), "o", 0.99)
-                 for i in rng.choice(n, size=k, replace=False)]
+        pairs = np.array([(i, rng.integers(num_classes))
+                          for i in rng.choice(n, size=k, replace=False)])
         return feats, ws, bs, theta, labels, pairs
 
     for _ in range(20):

@@ -12,6 +12,7 @@ import shlex
 import shutil
 import struct
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zooadapt
 from conftest import MINI_ARCHS, MINI_GRID, mini_scenario
 from zooadapt import cli
 from zooadapt.cli import _build_parser, main
@@ -500,6 +502,29 @@ def test_config_fields_are_pinned():
             for cls in CONFIG_FIELDS} == CONFIG_FIELDS
 
 
+# The names the package root exports, modules aside. An export lands or
+# goes only with an edit here, which says what callers gain or lose.
+PUBLIC_NAMES = [
+    "AdaptConfig", "ArchSpec", "DomainTransform", "EnsembleModel",
+    "KernelConfig", "ModelRecord", "ScenarioSpec", "SelectionResult",
+    "SuteComponents", "SuteConfig", "TargetBundle", "TrainConfig",
+    "TransferabilityReport", "ZooAdaptError", "accuracy", "adapt",
+    "build_ensemble", "build_zoo", "centered_factor", "div_scores",
+    "diversity_set", "ensemble_forward", "ensemble_weights", "forward",
+    "generate_scenario", "hsic", "indicator_gd", "indicator_ic",
+    "indicator_sc", "load_zoo", "mine_recycle_pairs", "mix_outputs",
+    "objective", "phi", "predictive_semantics", "read_labels", "read_tensor",
+    "score_zoo", "select", "spearman", "structural_semantics", "summary",
+    "sute_score", "write_tensor",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(name for name, value in vars(zooadapt).items()
+                  if not name.startswith("_")
+                  and not isinstance(value, types.ModuleType)) == PUBLIC_NAMES
+
+
 def test_missing_manifest_reports_error(tmp_path, capsys):
     rc = main(["estimate", str(tmp_path / "nope.json"),
                "-o", str(tmp_path / "x.csv")])
@@ -804,13 +829,20 @@ ALIASED = ["summary_is_out", "estimate_out_is_manifest",
 JSON_READERS = {"manifest": "ManifestError", "scenario": "SynthError",
                 "selection": "SelectionError"}
 UNPARSABLE = {"too_deep": "[" * 100_000, "int_too_long": "1" * 5000}
+# spellings of a label that Python's int() reads but that are not ASCII
+# digits after an optional minus; each replaces the first true label
+# with the same value
+LABEL_SPELLINGS = {"labels_arabic_digit": lambda v: chr(0x660 + v),
+                   "labels_fullwidth": lambda v: chr(0xFF10 + v),
+                   "labels_underscore": lambda v: f"0_{v}",
+                   "labels_plus": lambda v: f"+{v}"}
 
 
 @pytest.mark.parametrize("case,error", [
     *[(case, "DiversityError") for case in KERNEL_VALUES],
     ("labels", "SynthError"), ("labels_wrong_count", "SynthError"),
     ("scenario", "SynthError"), *[(case, "AdaptError") for case in ADAPT_LR]]
-    + [(case, "SynthError") for case in SCENARIO_VALUES]
+    + [(case, "SynthError") for case in {**SCENARIO_VALUES, **LABEL_SPELLINGS}]
     + [(case, "ZooAdaptError") for case in NOT_UTF8 + NO_DIRECTORY + ALIASED]
     + [(case, "IsADirectoryError") for case in A_DIRECTORY]
     + [("manifest_a_symlink_loop", "OSError")]
@@ -849,6 +881,12 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, monkeypatch, case,
     n = len(Path(good_labels).read_text().split())
     short = tmp_path / "short.txt"
     short.write_text("0\n" * (n - 1))
+    respelled = tmp_path / "respelled.txt"
+    if case in LABEL_SPELLINGS:
+        first, *rest = Path(good_labels).read_text().split()
+        respelled.write_text(
+            " ".join([LABEL_SPELLINGS[case](int(first)), *rest]),
+            encoding="utf-8")
     eval_out = ["-o", str(tmp_path / "eval.csv")]
     no_dir = tmp_path / "no_dir"
     out_no_dir = ["-o", str(no_dir / "out")]
@@ -885,6 +923,8 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, monkeypatch, case,
         "labels": ["eval", str(zoo), str(labels), "-o",
                    str(tmp_path / "eval.csv")],
         "labels_wrong_count": ["eval", str(zoo), str(short)] + eval_out,
+        **{k: ["eval", str(zoo), str(respelled)] + eval_out
+           for k in LABEL_SPELLINGS},
         "scenario": ["build", str(not_json), str(tmp_path / "zoo")],
         **{k: ["adapt", str(zoo), str(sel), "-o", str(tmp_path / "h.csv")]
            for k in ADAPT_LR},
@@ -948,6 +988,8 @@ def test_bad_tokens_and_input_files(zoo, tmp_path, capsys, monkeypatch, case,
         assert f"{binary}: not UTF-8 text" in line
     if case == "labels_wrong_count":
         assert f"{short}: expected {n} labels, got {n - 1}" in line
+    if case in LABEL_SPELLINGS:
+        assert line.endswith(f"{respelled}: labels must be integers")
     if case == "adapted_a_directory":
         assert str(blocked) in line and not any(blocked.iterdir())
     if case in NO_DIRECTORY:

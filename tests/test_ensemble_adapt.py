@@ -10,8 +10,7 @@ from conftest import make_model, objective_term
 from zooadapt import ensemble_adapt
 from zooadapt.cli import main
 from zooadapt.ensemble_adapt import (MOMENTUM, AdaptConfig, AdaptError,
-                                     AdaptHistory, EnsembleModel,
-                                     RecyclePair, adapt,
+                                     AdaptHistory, EnsembleModel, adapt,
                                      build_ensemble, ensemble_forward,
                                      ensemble_weights, mine_recycle_pairs,
                                      objective)
@@ -102,160 +101,189 @@ def _confidence_model(model_id, peaked_rows, num_classes=3, n=4):
 
 def test_no_pairs_when_confidence_below_tau():
     m = _confidence_model("o1", [(0, 1, 1.0)])  # soft predictions only
-    assert mine_recycle_pairs(["o1"], [forward(m)], tau=0.95) == []
+    pairs = mine_recycle_pairs([forward(m)], tau=0.95)
+    assert pairs.shape == (0, 2) and pairs.dtype == np.intp
 
 
 def test_single_confident_pair():
     m = _confidence_model("o1", [(2, 1, 30.0)])
-    pairs = mine_recycle_pairs(["o1"], [forward(m)], tau=0.95)
-    assert len(pairs) == 1
-    p = pairs[0]
-    assert (p.sample_index, p.label, p.model_id) == (2, 1, "o1")
-    assert p.confidence > 0.95
+    pairs = mine_recycle_pairs([forward(m)], tau=0.95)
+    assert pairs.tolist() == [[2, 1]]
+    assert forward(m)[2, 1] > 0.95
 
 
-def brute_force_pairs(model_ids, probs, tau):
-    """Per sample, every (model, class) probability in (sorted id, class)
+def brute_force_pairs(probs, tau):
+    """Per sample, every (matrix, class) probability in (matrix, class)
     order; the first strictly largest is kept when it exceeds tau."""
     out = []
     for i in range(probs[0].shape[0]):
         best = None
-        for mid, p in sorted(zip(model_ids, probs), key=lambda t: t[0]):
+        for p in probs:
             for lab, conf in enumerate(p[i].tolist()):
                 if best is None or conf > best[0]:
-                    best = (conf, lab, mid)
+                    best = (conf, lab)
         if best[0] > tau:
-            out.append(RecyclePair(i, best[1], best[2], best[0]))
-    return out
+            out.append((i, best[1]))
+    return np.array(out, dtype=np.intp).reshape(-1, 2)
 
 
 def test_recycling_matches_bruteforce_oracle():
     a = _confidence_model("oa", [(0, 2, 40.0), (1, 0, 2.0)])
     b = _confidence_model("ob", [(1, 1, 35.0), (0, 2, 20.0)])
-    args = (["oa", "ob"], [forward(a), forward(b)], 0.9)
-    assert mine_recycle_pairs(*args) == brute_force_pairs(*args)
+    args = ([forward(a), forward(b)], 0.9)
+    assert np.array_equal(mine_recycle_pairs(*args), brute_force_pairs(*args))
 
 
-def test_recycling_tie_goes_to_lowest_model_id():
-    a = _confidence_model("zz", [(0, 1, 25.0)])
-    b = make_model("aa", features=a.features, weights=a.weights, bias=a.bias)
-    pairs = mine_recycle_pairs(["zz", "aa"], [forward(a), forward(b)], tau=0.9)
-    assert pairs[0].model_id == "aa"
+def test_recycling_tie_goes_to_earlier_matrix():
+    # equal confidence, different labels: the first matrix's label wins
+    p = np.array([[0.1, 0.8, 0.1], [0.5, 0.25, 0.25]])
+    q = np.array([[0.1, 0.1, 0.8], [0.2, 0.6, 0.2]])
+    assert mine_recycle_pairs([p, q], tau=0.55).tolist() == [[0, 1], [1, 1]]
+    assert mine_recycle_pairs([q, p], tau=0.55).tolist() == [[0, 2], [1, 1]]
+
+
+def test_recycling_tie_goes_to_lowest_model_id(monkeypatch):
+    """Two outliers equally confident on every row, with different
+    labels: adapt recycles the lower id's labels whatever the order of
+    the outlier list, so history and heads are bit-equal."""
+    n = 6
+    low = _confidence_model("o1", [(i, i % 2, 25.0) for i in range(n)], n=n)
+    high = _confidence_model("o2", [(i, 1 - i % 2, 25.0) for i in range(n)],
+                             n=n)
+    p_low, p_high = forward(low), forward(high)
+    assert np.array_equal(p_low.max(axis=1), p_high.max(axis=1))
+    by_id = mine_recycle_pairs([p_low, p_high], 0.95)
+    assert by_id[:, 1].tolist() == [i % 2 for i in range(n)]
+    assert not np.array_equal(by_id, mine_recycle_pairs([p_high, p_low], 0.95))
+
+    mined = []
+
+    def recorded(*args):
+        mined.append(mine_recycle_pairs(*args))
+        return mined[-1]
+
+    monkeypatch.setattr(ensemble_adapt, "mine_recycle_pairs", recorded)
+    e = build_ensemble([make_model("a", seed=21, n=n),
+                        make_model("b", seed=22, n=n)], [0.2, 0.5])
+    cfg = AdaptConfig(epochs=5, lr=0.05)
+    runs = [adapt(e, outliers, cfg) for outliers in ([low, high], [high, low])]
+    assert len(mined) == 2
+    assert all(np.array_equal(pairs, by_id) for pairs in mined)
+    (first, first_history), (second, second_history) = runs
+    assert first_history.rows == second_history.rows
+    assert all(r["L_omr"] > 0 for r in first_history.rows)
+    for a, b in zip(first.members, second.members):
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.bias, b.bias)
 
 
 def test_empty_outliers_empty_pairs():
-    assert mine_recycle_pairs([], [], tau=0.5) == []
+    pairs = mine_recycle_pairs([], tau=0.5)
+    assert pairs.shape == (0, 2) and pairs.dtype == np.intp
 
 
-def loop_mine_recycle_pairs(model_ids, probs, tau):
-    """Reference for the running maximum: one argmax per model, in
-    sorted-id order, then one Python pass over the samples."""
+def loop_mine_recycle_pairs(probs, tau):
+    """Reference for the running maximum: one argmax per matrix, in the
+    given order, then one Python pass over the samples."""
     n = probs[0].shape[0]
     best_conf = np.full(n, -1.0)
     best_label = np.zeros(n, dtype=int)
-    best_model = np.zeros(n, dtype=int)
-    for j in sorted(range(len(model_ids)), key=model_ids.__getitem__):
-        p = probs[j]
+    for p in probs:
         labels = np.argmax(p, axis=1)
         confs = p[np.arange(n), labels]
-        better = confs > best_conf  # strict: earlier (lower) id wins ties
+        better = confs > best_conf  # strict: the earlier matrix wins ties
         best_conf[better] = confs[better]
         best_label[better] = labels[better]
-        best_model[better] = j
     pairs = []
     for i in range(n):
         if best_conf[i] > tau:
-            pairs.append(RecyclePair(sample_index=i, label=int(best_label[i]),
-                                     model_id=model_ids[best_model[i]],
-                                     confidence=float(best_conf[i])))
+            pairs.append((i, int(best_label[i])))
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2)
+
+
+def assert_same_pairs(probs, tau):
+    pairs = mine_recycle_pairs(probs, tau)
+    assert pairs.dtype == np.intp and pairs.shape[1:] == (2,)
+    assert np.array_equal(pairs, loop_mine_recycle_pairs(probs, tau))
+    assert np.array_equal(pairs, brute_force_pairs(probs, tau))
     return pairs
 
 
-def assert_same_pairs(model_ids, probs, tau):
-    pairs = mine_recycle_pairs(model_ids, probs, tau)
-    assert pairs == loop_mine_recycle_pairs(model_ids, probs, tau)
-    assert pairs == brute_force_pairs(model_ids, probs, tau)
-    for p in pairs:
-        assert (type(p.sample_index), type(p.label), type(p.confidence)) \
-            == (int, int, float)
-    return pairs
+def kept_confidence(probs, pairs):
+    """Each pair's confidence: its sample's largest outlier probability."""
+    return np.max([p[pairs[:, 0]].max(axis=1) for p in probs], axis=0)
 
 
-def assert_strict_threshold(model_ids, probs, kept, at):
-    """At tau equal to the confidence of the kept pair `at`, exactly the
-    kept pairs above it survive: a best confidence equal to tau is
-    dropped."""
-    pairs = assert_same_pairs(model_ids, probs, at.confidence)
-    assert pairs == [p for p in kept if p.confidence > at.confidence]
-    assert at not in pairs
+def assert_strict_threshold(probs, kept, at):
+    """At tau equal to the confidence of kept row `at`, exactly the kept
+    rows above it survive: a best confidence equal to tau is dropped."""
+    conf = kept_confidence(probs, kept)
+    pairs = assert_same_pairs(probs, conf[at])
+    assert np.array_equal(pairs, kept[conf > conf[at]])
+    assert kept[at].tolist() not in pairs.tolist()
 
 
-# Sorted-id groups of the tied cases: equal maxima sit on the last id of
-# one group and the first of the next, and on two ids inside one group.
-RECYCLE_BLOCK = 16
+# Row 0 of the tied cases puts equal maxima on outliers TIE_AT - 1 and TIE_AT.
+TIE_AT = 16
 
 
 def _tied_outliers(seed, n, c=5):
-    """3 groups and a part of outliers with unsorted, non-contiguous ids.
-    Rows come from a four-row palette (one confident, a two-class tie, a
-    weaker one and a uniform row) with shuffled columns, so confidences
-    tie within and across groups and classes tie within rows. Row 0
-    places equal maxima on the last model of the first group and the
-    first of the second; row 1 (n > 1) on two models inside one group."""
+    """53 outlier probability matrices in tie-breaking order. Rows come
+    from a four-row palette (one confident, a two-class tie, a weaker
+    one and a uniform row) with shuffled columns, so confidences tie
+    across outliers and classes tie within rows. Row 0 places equal
+    maxima with labels 2 and 1 on outliers TIE_AT - 1 and TIE_AT; row 1
+    (n > 1) two-class ties on outliers 3 and 5."""
     rng = np.random.default_rng(seed)
-    m = 3 * RECYCLE_BLOCK + 5
-    ids = [f"o{k:04d}" for k in rng.choice(10_000, size=m, replace=False)]
     palette = np.array([[0.97] + [0.03 / (c - 1)] * (c - 1),
                         [0.485, 0.485] + [0.03 / (c - 2)] * (c - 2),
                         [0.6] + [0.4 / (c - 1)] * (c - 1),
                         [1.0 / c] * c])
     probs = [rng.permuted(palette[rng.integers(len(palette), size=n)], axis=1)
-             for _ in ids]
-    ranked = sorted(range(m), key=ids.__getitem__)
-    for j in ranked:
-        probs[j][:2] = palette[3]
-    for rank, label in ((RECYCLE_BLOCK - 1, 2), (RECYCLE_BLOCK, 1)):
-        probs[ranked[rank]][0] = np.roll(palette[0], label)
+             for _ in range(53)]
+    for p in probs:
+        p[:2] = palette[3]
+    for j, label in ((TIE_AT - 1, 2), (TIE_AT, 1)):
+        probs[j][0] = np.roll(palette[0], label)
     if n > 1:
-        for rank in (3, 5):
-            probs[ranked[rank]][1] = np.roll(palette[1], rank)
-    return ids, probs, ranked
+        for j in (3, 5):
+            probs[j][1] = np.roll(palette[1], j)
+    return probs
 
 
 @pytest.mark.parametrize("n", [1, 2, 37])
 @pytest.mark.parametrize("seed", range(8))
 def test_blocked_mining_matches_per_model_loop(seed, n):
-    ids, probs, ranked = _tied_outliers(seed, n)
+    probs = _tied_outliers(seed, n)
     for tau in (0.999, 0.95, 0.55, 0.1):
-        pairs = assert_same_pairs(ids, probs, tau)
+        pairs = assert_same_pairs(probs, tau)
         if tau == 0.999:
-            assert pairs == []
+            assert len(pairs) == 0
         if tau == 0.1:
             assert len(pairs) == n
-    first = mine_recycle_pairs(ids, probs, 0.95)
-    # the tie across the group edge goes to the lower id
-    assert (first[0].sample_index, first[0].label, first[0].model_id) == \
-        (0, 2, ids[ranked[RECYCLE_BLOCK - 1]])
-    assert_strict_threshold(ids, probs, first, first[0])
-    if n > 1:  # a tie inside a group: the lower id, then the lower class
-        p = mine_recycle_pairs(ids, probs, 0.4)[1]
-        assert (p.sample_index, p.label, p.model_id) == (1, 3, ids[ranked[3]])
+    first = mine_recycle_pairs(probs, 0.95)
+    # the tie on row 0 goes to the earlier outlier's label
+    assert first[0].tolist() == [0, 2]
+    assert_strict_threshold(probs, first, 0)
+    if n > 1:  # a tie across outliers, then across classes
+        assert mine_recycle_pairs(probs, 0.4)[1].tolist() == [1, 3]
 
 
 @pytest.mark.parametrize("case", ["shorter", "longer", "shape", "rank"])
 def test_mining_rejects_mismatched_inputs(case):
     p = np.full((4, 3), 1 / 3)
-    ids, probs = {"shorter": (["a", "b"], [p]),
-                  "longer": (["a"], [p, p]),
-                  "shape": (["a", "b"], [p, p[:3]]),
-                  "rank": (["a"], [p[0]])}[case]
+    probs = {"shorter": [p, p[:3]],  # a later matrix with fewer rows
+             "longer": [p[:3], p],  # a later matrix with more rows
+             "shape": [p, p[:, :2]],
+             "rank": [p[0]]}[case]
     with pytest.raises(AdaptError):
-        mine_recycle_pairs(ids, probs, 0.5)
+        mine_recycle_pairs(probs, 0.5)
 
 
-def test_blocked_mining_matches_loop_on_large_zoo(tmp_path):
+def test_mining_matches_loop_on_large_zoo(tmp_path):
     """The outliers of the benchmark's large_zoo at seed 42, built and
-    selected as pipebench/harness.py runs the CLI."""
+    selected as pipebench/harness.py runs the CLI, in id order as adapt
+    passes them."""
     wl = _load_workloads().WORKLOADS["large_zoo"]
     scenario = tmp_path / "scenario.json"
     scenario.write_text(wl.scenario(42).to_json())
@@ -266,14 +294,14 @@ def test_blocked_mining_matches_loop_on_large_zoo(tmp_path):
                  "--kernel", wl.kernel]) == 0
     records, _ = load_zoo(manifest)
     _, outliers = SelectionResult.from_json(sel.read_text()).inlier_ensemble(records)
-    assert len(outliers) > 3 * RECYCLE_BLOCK
-    ids = [m.model_id for m in outliers]
-    probs = [forward(m) for m in outliers]
+    assert len(outliers) > 100
+    probs = [forward(m) for m in sorted(outliers, key=lambda m: m.model_id)]
     for tau in (AdaptConfig().tau_recycle, 0.5):
-        assert assert_same_pairs(ids, probs, tau)
-    kept = mine_recycle_pairs(ids, probs, 0.5)
-    middle = sorted(kept, key=lambda p: p.confidence)[len(kept) // 2]
-    assert_strict_threshold(ids, probs, kept, middle)
+        assert len(assert_same_pairs(probs, tau))
+    kept = mine_recycle_pairs(probs, 0.5)
+    middle = np.argsort(kept_confidence(probs, kept),
+                        kind="stable")[len(kept) // 2]
+    assert_strict_threshold(probs, kept, middle)
 
 
 def _load_workloads():
@@ -293,7 +321,7 @@ def loss_terms(probs, theta=(1.0,), pairs=()):
     theta = np.asarray(theta, dtype=np.float64)
     mixture = mix_outputs(probs, theta)
     feats = [np.zeros((p.shape[0], 1)) for p in probs]
-    pairs = [RecyclePair(i, c, "o", 0.99) for i, c in pairs]
+    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     terms, _ = objective(feats, probs, mixture, theta,
                          predictive_semantics(mixture), pairs, AdaptConfig())
     return terms
@@ -391,8 +419,8 @@ def _random_instance(seed, n=6, num_classes=3, members=2):
     probs = [softmax_rows(f @ w.T + b) for f, w, b in zip(feats, ws, bs)]
     mixture = mix_outputs(probs, theta)
     labels = predictive_semantics(mixture)
-    pairs = [RecyclePair(i, int(rng.integers(num_classes)), "o", 0.99)
-             for i in rng.choice(n, size=3, replace=False)]
+    pairs = np.array([(i, rng.integers(num_classes))
+                      for i in rng.choice(n, size=3, replace=False)])
     return feats, ws, bs, theta, labels, pairs
 
 
@@ -455,8 +483,8 @@ def test_fused_adapt_gradient_equals_term_sum():
     probs = [softmax_rows(f @ w.T + b) for f, w, b in zip(feats, ws, bs)]
     mixture = mix_outputs(probs, e.weights)
     labels = predictive_semantics(mixture)
-    pairs = mine_recycle_pairs(["o"], [forward(outlier)], cfg.tau_recycle)
-    assert pairs
+    pairs = mine_recycle_pairs([forward(outlier)], cfg.tau_recycle)
+    assert len(pairs)
     g_sim, g_pse, g_omr = (
         objective_term(term, feats, ws, bs, e.weights, labels, pairs)[1]
         for term in ("sim", "pse", "omr"))
@@ -515,9 +543,8 @@ def test_adapt_matches_fd_descent_oracle():
         probs = [softmax_rows(f @ w.T + b) for f, w, b in zip(feats, ws, bs)]
         mixture = mix_outputs(probs, theta)
         labels = predictive_semantics(mixture)
-        pairs = mine_recycle_pairs(["o"], [forward(outlier)], cfg.tau_recycle)
-        p_idx = np.array([p.sample_index for p in pairs], dtype=int)
-        p_lab = np.array([p.label for p in pairs], dtype=int)
+        p_idx, p_lab = mine_recycle_pairs([forward(outlier)],
+                                          cfg.tau_recycle).T
 
         def l_all(ws_, bs_):
             ps = [softmax_rows(f @ w.T + b)
@@ -580,15 +607,15 @@ def adapt_mining_every_epoch(e, outliers, cfg):
     vel_w = [np.zeros_like(w) for w in heads_w]
     vel_b = [np.zeros_like(b) for b in heads_b]
     history = AdaptHistory()
-    outlier_ids = [m.model_id for m in outliers]
-    outlier_probs = [forward(m) for m in outliers]
+    outlier_probs = [forward(m)
+                     for m in sorted(outliers, key=lambda m: m.model_id)]
 
     for epoch in range(cfg.epochs):
         probs = [softmax_rows(f @ w.T + b)
                  for f, w, b in zip(feats, heads_w, heads_b)]
         mixture = mix_outputs(probs, e.weights)
         labels = predictive_semantics(mixture)
-        pairs = mine_recycle_pairs(outlier_ids, outlier_probs, cfg.tau_recycle)
+        pairs = mine_recycle_pairs(outlier_probs, cfg.tau_recycle)
         terms, grads = objective(feats, probs, mixture, e.weights, labels,
                                  pairs, cfg)
         for name, value in zip(("L_sim", "L_pse", "L_omr"), terms):
@@ -607,9 +634,8 @@ def adapt_mining_every_epoch(e, outliers, cfg):
 
 
 def _recycling_zoo(n=30):
-    """Three inliers and 20 outliers, more than one sorted-id group of
-    RECYCLE_BLOCK, on one n-row target; the outliers' sharp heads give
-    recycled pairs from several groups."""
+    """Three inliers and 20 outliers on one n-row target; the outliers'
+    sharp heads give recycled pairs won by several of them."""
     members = [make_model(f"in{k}", seed=40 + k, n=n) for k in range(3)]
     others = [make_model(f"out{k:02d}", seed=60 + k, n=n, spread=6.0)
               for k in range(20)]
@@ -621,12 +647,12 @@ def _recycling_zoo(n=30):
 @pytest.mark.parametrize("epochs", [0, 1, 5])
 def test_adapt_mines_once_and_matches_per_epoch_mining(epochs, monkeypatch):
     e, outliers = _recycling_zoo()
-    assert len(outliers) > RECYCLE_BLOCK
     cfg = AdaptConfig(epochs=epochs, lr=0.05)
-    pairs = mine_recycle_pairs([m.model_id for m in outliers],
-                               [forward(m) for m in outliers], cfg.tau_recycle)
-    ranks = sorted(m.model_id for m in outliers)
-    assert len({ranks.index(p.model_id) // RECYCLE_BLOCK for p in pairs}) > 1
+    probs = [forward(m) for m in outliers]
+    pairs = mine_recycle_pairs(probs, cfg.tau_recycle)
+    # the outlier that wins each pair: the first with its confidence
+    winners = np.argmax([p[pairs[:, 0], pairs[:, 1]] for p in probs], axis=0)
+    assert len(set(winners.tolist())) > 1
     want_w, want_b, want_history = adapt_mining_every_epoch(e, outliers, cfg)
 
     calls = []
